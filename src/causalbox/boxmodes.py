@@ -39,6 +39,15 @@ state has at zeta = 1) stays below a uniform tolerance defaulting to
 tol^(2/5).  At the default tol = 1e-10 that is a 1e-4 uniform bound; the
 norm criterion alone would leave O(1/N) ripples several times larger near
 the kink and its specular image.
+
+Profiles are evaluated by one of two routes that compute the same finite
+sum, so they agree to roundoff.  On a lattice zeta_j = j Lambda/M (every
+linspace or CLI snapshot grid, with M <= 2N + 2) sin(n pi j/M) repeats in
+n with period 2M and is odd about M, so the phased coefficients fold onto
+M - 1 slots and one type-I sine transform gives the whole profile in
+O(N + M log M); density_norm uses the same transform.  Scalars and
+off-lattice points (quadrature nodes, grids with Lambda appended after a
+step that does not divide it) take the dense sum, O(N) per point.
 """
 
 from __future__ import annotations
@@ -61,6 +70,7 @@ __all__ = [
     "initial_state",
     "density_snapshot",
     "density_norm",
+    "profile_lattice",
     "parseval_partial_sum",
 ]
 
@@ -91,6 +101,15 @@ class ModeSpectrum:
         """Retained norm (Lambda/2) sum b_n^2; equals 1 - eps, eps <= tail_bound."""
         return 0.5 * self.lambda_factor * float(np.dot(self.coefficients,
                                                        self.coefficients))
+
+    @property
+    def fft_size(self) -> int:
+        """Smallest power of two >= 2N + 2.
+
+        The transform length of the pairwise P(tau) correlations and the
+        panel count of the exact density-norm quadrature.
+        """
+        return 1 << int(math.ceil(math.log2(2 * self.max_mode + 2)))
 
 
 @dataclass(frozen=True)
@@ -183,8 +202,8 @@ def build_spectrum(params, tol: float = 1e-10,
     if not uniform_tol > 0:
         raise ValueError(f"uniform tolerance must be positive, got {uniform_tol}")
     lam = float(getattr(params, "lambda_factor", params))
-    if not lam >= 1:
-        raise ValueError(f"lambda_factor must be >= 1, got {lam}")
+    if not 1 <= lam < math.inf:
+        raise ValueError(f"lambda_factor must be >= 1 and finite, got {lam}")
     n_max = max(_smallest_mode(lam, _tail_weight_bound, tol),
                 _smallest_mode(lam, _tail_amplitude_bound, uniform_tol))
     coeffs = mode_coefficient(np.arange(1, n_max + 1), lam)
@@ -203,24 +222,75 @@ def _phases(spectrum: ModeSpectrum, s: float, tau: float) -> np.ndarray:
     return np.exp(-1j * _PI**2 * n * n * tau / (2.0 * lam * lam * s))
 
 
+def _lattice_amplitudes(c: np.ndarray, m: int) -> np.ndarray:
+    """sum_n c_n sin(n pi j / m) for j = 0..m, with c_n given for n = 1..N.
+
+    sin(n pi j / m) depends on n only through r = n mod 2m: the r = 0 and
+    r = m terms vanish, and the r > m terms equal minus the 2m - r ones.
+    The coefficients therefore fold exactly onto m - 1 slots, and one
+    type-I sine transform of those gives every interior value.  The two
+    walls are exact zeros.  Cost O(N + m log m).
+    """
+    period = 2 * m
+    pad = np.zeros(-(-(len(c) + 1) // period) * period, dtype=complex)
+    pad[1:len(c) + 1] = c
+    rows = pad.reshape(-1, period).sum(axis=0)
+    folded = rows[1:m] - rows[:m:-1]
+    out = np.zeros(m + 1, dtype=complex)
+    out[1:m] = 0.5 * (dst(folded.real, type=1) + 1j * dst(folded.imag, type=1))
+    return out
+
+
+def profile_lattice(spectrum: ModeSpectrum, zeta) -> int | None:
+    """M when every point of zeta lies on the lattice k Lambda/M, else None.
+
+    M is Lambda over the smallest gap between distinct points, and must lie
+    in [2, 2N + 2] so the sine transform costs no more than a few dense
+    rows.  A point counts as on the lattice within 8 eps Lambda of its
+    lattice site; grids built by linspace or by the CLI sit within 1e-15.
+    Scalars, single points and off-lattice sets (quadrature nodes, grids
+    with Lambda appended after a step that does not divide it) give None.
+    """
+    lam = spectrum.lambda_factor
+    z = np.unique(np.asarray(zeta, dtype=float))
+    if z.size < 2:
+        return None
+    ratio = lam / float(np.min(np.diff(z)))
+    if not 1.5 <= ratio < 2 * spectrum.max_mode + 2.5:
+        return None
+    m = round(ratio)
+    off = np.abs(z - np.rint(z * (m / lam)) * (lam / m))
+    if float(np.max(off)) > 8.0 * np.finfo(float).eps * lam:
+        return None
+    return m
+
+
 def wavefunction(spectrum: ModeSpectrum, s: float, zeta, tau: float):
     """Complex amplitude psi(zeta, tau) of the truncated mode sum.
 
     zeta may be a scalar or an array of positions in [0, Lambda]; tau >= 0.
-    Vanishes identically at both walls.  Evaluation is a blocked dense sum,
-    deterministic and independent of block boundaries to roundoff.
+    Vanishes identically at both walls.  Points that all lie on a lattice
+    k Lambda/M (see ``profile_lattice``) are read off one folded type-I sine
+    transform of the phased coefficients, in O(N + M log M); any other
+    input is a blocked dense sum in O(N * points), deterministic and
+    independent of block boundaries to roundoff.  Both compute the same
+    finite sum, so they agree to roundoff (about 1e-14).
     """
     lam = spectrum.lambda_factor
     z = np.asarray(zeta, dtype=float)
     if np.any(z < 0) or np.any(z > lam):
         raise ValueError(f"zeta must lie in [0, {lam}]")
-    if tau < 0:
-        raise ValueError(f"tau must be non-negative, got {tau}")
+    if not 0 <= tau < math.inf:
+        raise ValueError(f"tau must be non-negative and finite, got {tau}")
     if not s > 0:
         raise ValueError(f"confinement size s must be positive, got {s}")
     c = spectrum.coefficients * _phases(spectrum, s, tau)
-    n = np.arange(1, spectrum.max_mode + 1, dtype=float)
     flat = np.atleast_1d(z).ravel()
+    m = profile_lattice(spectrum, flat)
+    if m is not None:
+        out = _lattice_amplitudes(c, m)[np.rint(flat * (m / lam)).astype(int)]
+        return out.reshape(z.shape)
+    n = np.arange(1, spectrum.max_mode + 1, dtype=float)
     out = np.empty(flat.shape, dtype=complex)
     block = max(64, 6_000_000 // spectrum.max_mode)  # ~50 MB sin matrix
     for i in range(0, len(flat), block):
@@ -272,14 +342,10 @@ def density_norm(spectrum: ModeSpectrum, s: float, tau: float) -> float:
     pointwise sum to roundoff.  Result: the quadrature is exact up to
     roundoff, and the value differs from 1 only by the truncated tail.
     """
-    lam = spectrum.lambda_factor
-    n_pts = 1 << int(math.ceil(math.log2(2 * spectrum.max_mode + 2)))
+    n_pts = spectrum.fft_size
     c = spectrum.coefficients * _phases(spectrum, s, tau)
-    pad = np.zeros(n_pts - 1, dtype=complex)
-    pad[:spectrum.max_mode] = c
-    vals = 0.5 * (dst(pad.real, type=1) + 1j * dst(pad.imag, type=1))
-    rho = np.abs(vals) ** 2
-    return float(rho.sum() * lam / n_pts)
+    rho = np.abs(_lattice_amplitudes(c, n_pts)[1:-1]) ** 2
+    return float(rho.sum() * spectrum.lambda_factor / n_pts)
 
 
 def parseval_partial_sum(lambda_factor: float, n_terms: int) -> float:

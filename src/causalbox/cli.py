@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .boxmodes import (build_spectrum, density_norm, density_snapshot,
-                       parseval_partial_sum, wavefunction)
+                       parseval_partial_sum, profile_lattice, wavefunction)
 from .breakdown import (CONFINEMENT_THRESHOLD, breakdown_interval,
                         breakdown_report)
 from .freespace import (AdjudicationError, ConventionRecord,
@@ -52,13 +53,18 @@ _PI = math.pi
 
 @dataclass
 class RunManifest:
-    """Reproducibility record written beside every output file."""
+    """Reproducibility record written beside every output file.
+
+    ``stages`` maps stage names to wall seconds; where present they add up
+    to ``duration_s``.
+    """
 
     command: str
     parameters: dict
     version: str = __version__
     convention: str | None = None
     duration_s: float = 0.0
+    stages: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
 
     def write(self, csv_path: str) -> None:
@@ -80,11 +86,15 @@ def _write_csv(path: str, header: str, rows) -> None:
 
 
 def _chunked_map(fn, items, threads: int):
-    """Order-preserving parallel map; identical output for any thread count."""
+    """Order-preserving parallel map; identical output for any thread count.
+
+    Workers are capped at the core count and the number of items.
+    """
     items = list(items)
-    if threads <= 1 or len(items) < 4:
+    workers = min(threads, os.cpu_count() or 1, len(items))
+    if workers <= 1 or len(items) < 4:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -92,6 +102,7 @@ def cmd_violation_sweep(args) -> int:
     params = SystemParams(s=args.s, lambda_factor=args.lambda_factor)
     t0 = time.perf_counter()
     spectrum = build_spectrum(params, tol=args.tol)
+    t1 = time.perf_counter()
     grid = default_sweep_grid(params, tau_step=args.tau_step)
 
     def one(tau: float):
@@ -99,12 +110,14 @@ def cmd_violation_sweep(args) -> int:
                                      full_output=True)
 
     results = _chunked_map(one, grid, args.threads)
+    t2 = time.perf_counter()
     rows = []
     for tau, (p, err) in zip(grid, results):
         if args.clamp:
             p = min(max(p, 0.0), 1.0)
         rows.append((_fmt(tau), _fmt(p), _fmt(err)))
     _write_csv(args.out, "tau,p_violation,error_estimate", rows)
+    t3 = time.perf_counter()
     manifest = RunManifest(
         command="violation-sweep",
         parameters={"s": args.s, "lambda": args.lambda_factor,
@@ -112,18 +125,33 @@ def cmd_violation_sweep(args) -> int:
                     "threads": args.threads, "clamp": bool(args.clamp),
                     "grid_points": int(len(grid)),
                     "spectrum_max_mode": spectrum.max_mode,
-                    "spectrum_tail_bound": spectrum.tail_bound},
-        duration_s=time.perf_counter() - t0,
+                    "spectrum_tail_bound": spectrum.tail_bound,
+                    "fft_size": spectrum.fft_size},
+        duration_s=t3 - t0,
+        stages={"spectrum": t1 - t0, "evaluate": t2 - t1, "write": t3 - t2},
         outputs=[args.out],
     )
     manifest.write(args.out)
     return 0
 
 
+def _zeta_grid(lam: float, step: float) -> np.ndarray:
+    """Snapshot positions: multiples of step up to Lambda, then Lambda itself."""
+    if not 0 < step < math.inf:
+        raise ValueError(f"zeta step must be positive and finite, got {step}")
+    n_steps = int(round(lam / step))
+    zgrid = np.round(np.arange(n_steps + 1) * step, 12)
+    zgrid = zgrid[zgrid <= lam]
+    if zgrid[-1] < lam:
+        zgrid = np.append(zgrid, lam)
+    return zgrid
+
+
 def cmd_snapshot(args) -> int:
     params = SystemParams(s=args.s, lambda_factor=args.lambda_factor)
     t0 = time.perf_counter()
     spectrum = build_spectrum(params, tol=args.tol)
+    t1 = time.perf_counter()
     scales = time_scales(params)
     if args.tau_list:
         taus = [float(t) for t in args.tau_list.split(",")]
@@ -131,29 +159,28 @@ def cmd_snapshot(args) -> int:
         rev = scales.tau_revival
         taus = [0.0, rev / 8, rev / 4, rev / 2, 5 * rev / 8,
                 scales.tau_evacuation]
-    lam = params.lambda_factor
-    n_steps = int(round(lam / args.zeta_step))
-    zgrid = np.round(np.arange(n_steps + 1) * args.zeta_step, 12)
-    zgrid = zgrid[zgrid <= lam]
-    if zgrid[-1] < lam:
-        zgrid = np.append(zgrid, lam)
+    zgrid = _zeta_grid(params.lambda_factor, args.zeta_step)
 
     def one(tau: float):
         return density_snapshot(spectrum, params.s, zgrid, tau)
 
     curves = _chunked_map(one, taus, args.threads)
+    t2 = time.perf_counter()
     rows = []
     for curve in curves:
         for z, r in zip(curve.zeta, curve.rho):
             rows.append((_fmt(curve.tau), _fmt(z), _fmt(r)))
     _write_csv(args.out, "tau,zeta,rho", rows)
+    t3 = time.perf_counter()
     RunManifest(
         command="snapshot",
         parameters={"s": args.s, "lambda": args.lambda_factor,
                     "tau_list": taus, "zeta_step": args.zeta_step,
                     "tol": args.tol, "threads": args.threads,
-                    "spectrum_max_mode": spectrum.max_mode},
-        duration_s=time.perf_counter() - t0,
+                    "spectrum_max_mode": spectrum.max_mode,
+                    "profile_lattice": profile_lattice(spectrum, zgrid)},
+        duration_s=t3 - t0,
+        stages={"spectrum": t1 - t0, "evaluate": t2 - t1, "write": t3 - t2},
         outputs=[args.out],
     ).write(args.out)
     return 0
@@ -380,6 +407,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except AdjudicationError as exc:
         print(f"adjudication failure: {exc}", file=sys.stderr)

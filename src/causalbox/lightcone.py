@@ -93,8 +93,7 @@ def _pairwise_value(spectrum: ModeSpectrum, s: float, tau: float,
     n = np.arange(1, n_max + 1, dtype=float)
     c = spectrum.coefficients * np.exp(
         -1j * _PI**2 * n * n * tau / (2.0 * lam * lam * s))
-    size = 1 << int(math.ceil(math.log2(2 * n_max + 2)))
-    pad = np.zeros(size, dtype=complex)
+    pad = np.zeros(spectrum.fft_size, dtype=complex)
     pad[1:n_max + 1] = c
     spec_fft = np.fft.fft(pad)
     # lag sums over index difference (autocorrelation) and index sum (folded

@@ -49,19 +49,22 @@ class SystemParams:
     """The two dimensionless knobs of the problem.
 
     s             confinement size a in units of the reduced Compton
-                  wavelength hbar/(m c); must be positive
+                  wavelength hbar/(m c); must be positive and finite
     lambda_factor expansion factor Lambda of the outer box; must exceed 1
+                  and be finite
     """
 
     s: float
     lambda_factor: float
 
     def __post_init__(self):
-        if not self.s > 0:
-            raise ValueError(f"confinement size s must be positive, got {self.s}")
-        if not self.lambda_factor > 1:
+        if not 0 < self.s < math.inf:
             raise ValueError(
-                f"expansion factor must exceed 1, got {self.lambda_factor}"
+                f"confinement size s must be positive and finite, got {self.s}")
+        if not 1 < self.lambda_factor < math.inf:
+            raise ValueError(
+                f"expansion factor must exceed 1 and be finite, "
+                f"got {self.lambda_factor}"
             )
 
 

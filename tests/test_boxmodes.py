@@ -16,6 +16,8 @@ from causalbox import (
     wave_sample,
     wavefunction,
 )
+from causalbox.boxmodes import profile_lattice
+from causalbox.cli import _zeta_grid
 
 PI = math.pi
 
@@ -68,6 +70,11 @@ class TestBuildSpectrum:
             with pytest.raises(ValueError):
                 build_spectrum(5.0, tol=bad)
 
+    def test_non_finite_lambda(self):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                build_spectrum(bad)
+
     def test_parseval_within_tail_bound(self, spectrum_lam5):
         eps = 1.0 - spectrum_lam5.parseval_weight()
         assert 0.0 <= eps <= spectrum_lam5.tail_bound
@@ -112,6 +119,9 @@ class TestWavefunction:
             wavefunction(spectrum_lam5, 0.2, 5.1, 0.0)
         with pytest.raises(ValueError):
             wavefunction(spectrum_lam5, 0.2, 1.0, -0.1)
+        for bad_tau in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                wavefunction(spectrum_lam5, 0.2, 1.0, bad_tau)
         with pytest.raises(ValueError):
             wavefunction(spectrum_lam5, -0.2, 1.0, 0.1)
 
@@ -143,6 +153,69 @@ class TestWavefunction:
         pts = np.array([wavefunction(spectrum_lam5, 0.2, float(z), 0.37)
                         for z in zg])
         assert np.max(np.abs(arr - pts)) < 1e-12
+
+
+def _pointwise(spectrum, s, zeta, tau):
+    """Reference: one dense-sum scalar call per point."""
+    return np.array([wavefunction(spectrum, s, float(z), tau) for z in zeta])
+
+
+class TestLatticeProfiles:
+    """Lattice grids take the folded sine transform; it must equal the
+    dense sum that scalars and off-lattice grids take."""
+
+    @pytest.fixture(scope="class", params=[2.0, 4.7, 20.0])
+    def spectrum(self, request):
+        return build_spectrum(request.param)
+
+    @staticmethod
+    def _grids(lam):
+        rng = np.random.default_rng(7)
+        lattice = np.linspace(0.0, lam, 61)
+        # repeated points, and one adjacent pair so the lattice is M = 60
+        subset = rng.permutation(np.concatenate(
+            [rng.choice(lattice, 12, replace=False), lattice[[0, 7, 7, 8, 60]]]))
+        return {"cli": (_zeta_grid(lam, lam / 40), 40),
+                "linspace": (np.linspace(0.0, lam, 33), 32),
+                "subset": (subset, 60)}
+
+    @pytest.mark.parametrize("when", ["generic", "specular"])
+    def test_lattice_equals_pointwise(self, spectrum, when):
+        lam, s = spectrum.lambda_factor, 0.3
+        tau = 0.731 if when == "generic" else 2.0 * lam * lam * s / PI
+        for name, (grid, m) in self._grids(lam).items():
+            assert profile_lattice(spectrum, grid) == m, name
+            amp = wavefunction(spectrum, s, grid, tau)
+            ref = _pointwise(spectrum, s, grid, tau)
+            assert np.max(np.abs(amp - ref)) <= 1e-12, name
+
+    def test_walls_exact_zero(self, spectrum):
+        lam = spectrum.lambda_factor
+        amp = wavefunction(spectrum, 0.3, np.linspace(0.0, lam, 11), 0.731)
+        assert amp[0] == 0.0 and amp[-1] == 0.0
+
+    def test_point_off_lattice_takes_dense_path(self, spectrum):
+        lam = spectrum.lambda_factor
+        grid = np.linspace(0.0, lam, 21)
+        grid[9] += 1e-9
+        assert profile_lattice(spectrum, grid) is None
+        amp = wavefunction(spectrum, 0.3, grid, 0.731)
+        ref = _pointwise(spectrum, 0.3, grid, 0.731)
+        assert np.max(np.abs(amp - ref)) <= 1e-12
+
+    def test_lattice_finer_than_spectrum_takes_dense_path(self):
+        spec = build_spectrum(5.0, tol=0.5)
+        widest = 2 * spec.max_mode + 2
+        assert profile_lattice(spec, np.linspace(0.0, 5.0, widest + 1)) == widest
+        grid = np.linspace(0.0, 5.0, widest + 2)
+        assert profile_lattice(spec, grid) is None
+        amp = wavefunction(spec, 0.3, grid, 0.731)
+        ref = _pointwise(spec, 0.3, grid, 0.731)
+        assert np.max(np.abs(amp - ref)) <= 1e-12
+
+    def test_scalars_and_single_points_take_dense_path(self, spectrum):
+        assert profile_lattice(spectrum, 0.5) is None
+        assert profile_lattice(spectrum, [0.5, 0.5]) is None
 
 
 class TestDensity:

@@ -22,6 +22,14 @@ def _rows(path):
     return lines[0], [line.split(",") for line in lines[1:]]
 
 
+def _assert_stages_tile(manifest):
+    stages = manifest["stages"]
+    assert set(stages) == {"spectrum", "evaluate", "write"}
+    assert all(v >= 0 for v in stages.values())
+    assert sum(stages.values()) == pytest.approx(manifest["duration_s"],
+                                                 abs=1e-3)
+
+
 class TestViolationSweep:
     def test_output_contract(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -67,6 +75,31 @@ class TestViolationSweep:
         assert main(argv + ["--out", str(b), "--threads", "8"]) == 0
         assert _read(a) == _read(b)
 
+    def test_manifest_stages_and_fft_size(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["violation-sweep", "--s", "0.2", "--lambda", "5",
+                     "--tau-step", "0.5", "--out", str(out)]) == 0
+        manifest = json.loads(_read(str(out) + ".manifest.json"))
+        _assert_stages_tile(manifest)
+        assert manifest["parameters"]["fft_size"] == 131072
+
+    @pytest.mark.parametrize("s, lam", [("inf", "5"), ("0.2", "inf")])
+    def test_non_finite_parameter_rejected(self, tmp_path, capsys, s, lam):
+        rc = main(["violation-sweep", "--s", s, "--lambda", lam,
+                   "--tau-step", "0.5", "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid arguments:") and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_threads_below_one_rejected(self, tmp_path, capsys):
+        rc = main(["violation-sweep", "--s", "0.2", "--lambda", "5",
+                   "--tau-step", "0.5", "--threads", "0",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("invalid arguments:")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unwritable_path(self, tmp_path):
         rc = main(["violation-sweep", "--s", "0.2", "--lambda", "5",
                    "--tau-step", "0.5",
@@ -97,6 +130,25 @@ class TestSnapshot:
         revived = data[data[:, 0] != 0.0]
         early = revived[revived[:, 1] < 3.9]
         assert early[:, 2].max() < 1e-4
+        manifest = json.loads(_read(str(out) + ".manifest.json"))
+        _assert_stages_tile(manifest)
+        assert manifest["parameters"]["profile_lattice"] == 2500
+
+    @pytest.mark.parametrize("option", [("--zeta-step", "0"),
+                                        ("--tau-list", "inf")])
+    def test_bad_grid_or_time_rejected(self, tmp_path, capsys, option):
+        rc = main(["snapshot", "--s", "0.1", "--lambda", "5", *option,
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("invalid arguments:")
+
+    def test_step_not_dividing_lambda_is_recorded_as_dense(self, tmp_path):
+        out = tmp_path / "snap.csv"
+        assert main(["snapshot", "--s", "0.1", "--lambda", "5",
+                     "--tau-list", "0.37", "--zeta-step", "0.3",
+                     "--out", str(out)]) == 0
+        manifest = json.loads(_read(str(out) + ".manifest.json"))
+        assert manifest["parameters"]["profile_lattice"] is None
 
 
 class TestAsymptotic:

@@ -88,3 +88,7 @@ def test_system_params_validation():
         SystemParams(s=1.0, lambda_factor=1.0)
     with pytest.raises(ValueError):
         SystemParams(s=1.0, lambda_factor=0.5)
+    for s, lam in ((math.inf, 5.0), (math.nan, 5.0), (1.0, math.inf),
+                   (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            SystemParams(s=s, lambda_factor=lam)
