@@ -42,12 +42,12 @@ the kink and its specular image.
 
 Profiles are evaluated by one of two routes that compute the same finite
 sum, so they agree to roundoff.  On a lattice zeta_j = j Lambda/M (every
-linspace or CLI snapshot grid, with M <= 2N + 2) sin(n pi j/M) repeats in
-n with period 2M and is odd about M, so the phased coefficients fold onto
-M - 1 slots and one type-I sine transform gives the whole profile in
-O(N + M log M); density_norm uses the same transform.  Scalars and
-off-lattice points (quadrature nodes, grids with Lambda appended after a
-step that does not divide it) take the dense sum, O(N) per point.
+linspace or CLI snapshot grid whose points and walls share a lattice with
+M <= 2N + 2) sin(n pi j/M) repeats in n with period 2M and is odd about
+M, so the phased coefficients fold onto M - 1 slots and one type-I sine
+transform gives the whole profile in O(N + M log M); density_norm uses the
+same transform.  Scalars and off-lattice points (quadrature nodes, grids
+on no lattice that coarse) take the dense sum, O(N) per point.
 """
 
 from __future__ import annotations
@@ -217,9 +217,20 @@ def build_spectrum(params, tol: float = 1e-10,
 
 
 def _phases(spectrum: ModeSpectrum, s: float, tau: float) -> np.ndarray:
+    """exp(-i pi^2 n^2 tau / (2 Lambda^2 s)) = exp(-2 pi i n^2 tau/tau_rev).
+
+    The argument is reduced before the exponential: n^2 is an integer, so
+    only r = tau/tau_rev mod 1 and then the fractional part of n^2 r
+    matter.  The unreduced argument passes 1e10 rad at the default
+    truncation, where libm takes its slow argument-reduction path; reduced,
+    exp sees [0, 2 pi) only.  Roundoff is at worst that of the unreduced
+    form, about eps n^2 r cycles.
+    """
     n = np.arange(1, spectrum.max_mode + 1, dtype=float)
     lam = spectrum.lambda_factor
-    return np.exp(-1j * _PI**2 * n * n * tau / (2.0 * lam * lam * s))
+    u = n * n * ((tau * _PI / (4.0 * lam * lam * s)) % 1.0)
+    u -= np.floor(u)
+    return np.exp(-2j * _PI * u)
 
 
 def _lattice_amplitudes(c: np.ndarray, m: int) -> np.ndarray:
@@ -244,21 +255,35 @@ def _lattice_amplitudes(c: np.ndarray, m: int) -> np.ndarray:
 def profile_lattice(spectrum: ModeSpectrum, zeta) -> int | None:
     """M when every point of zeta lies on the lattice k Lambda/M, else None.
 
-    M is Lambda over the smallest gap between distinct points, and must lie
-    in [2, 2N + 2] so the sine transform costs no more than a few dense
-    rows.  A point counts as on the lattice within 8 eps Lambda of its
-    lattice site; grids built by linspace or by the CLI sit within 1e-15.
-    Scalars, single points and off-lattice sets (quadrature nodes, grids
-    with Lambda appended after a step that does not divide it) give None.
+    M is the smallest such lattice: Lambda over the common divisor of the
+    gaps between the distinct points and the two walls, found by Euclid's
+    algorithm (nearest-integer remainders, those below half the finest
+    admissible spacing counted as zero).  M must lie in [2, 2N + 2] so the
+    sine transform costs no more than a few dense rows.  A point counts as
+    on the lattice within 8 eps Lambda of its site; grids built by linspace
+    or by the CLI sit within 1e-15.  Scalars, single points and off-lattice
+    sets (quadrature nodes, points on no lattice coarser than 2N + 2) give
+    None.
     """
     lam = spectrum.lambda_factor
     z = np.unique(np.asarray(zeta, dtype=float))
     if z.size < 2:
         return None
-    ratio = lam / float(np.min(np.diff(z)))
-    if not 1.5 <= ratio < 2 * spectrum.max_mode + 2.5:
+    m_max = 2 * spectrum.max_mode + 2
+    noise = 0.5 * lam / m_max
+    gaps = np.sort(np.diff(np.concatenate(([0.0], z, [lam]))))
+    # gaps on a lattice differ by a multiple of Lambda/M >= 2 noise, so
+    # closer ones differ by roundoff only
+    distinct = gaps[np.concatenate(([True], np.diff(gaps) > noise))]
+    step = lam
+    for gap in distinct.tolist():
+        while gap > noise:
+            step, gap = gap, abs(step - gap * round(step / gap))
+        if step * (m_max + 0.5) < lam:
+            return None
+    m = round(lam / step)
+    if m < 2:
         return None
-    m = round(ratio)
     off = np.abs(z - np.rint(z * (m / lam)) * (lam / m))
     if float(np.max(off)) > 8.0 * np.finfo(float).eps * lam:
         return None

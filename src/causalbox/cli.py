@@ -40,7 +40,8 @@ from .breakdown import (CONFINEMENT_THRESHOLD, breakdown_interval,
 from .freespace import (AdjudicationError, ConventionRecord,
                         adjudicate_convention, asymptotic_result,
                         asymptotic_violation, asymptotic_violation_closed)
-from .lightcone import default_sweep_grid, violation_probability
+from .lightcone import (ProbabilityRangeError, default_sweep_grid,
+                        violation_probability)
 from .params import SystemParams, lorentz_factor, time_scales
 from .quadrature import NumericalConvergenceError, QuadratureConfig, integrate
 from .special import (EULER_GAMMA, cosine_integral, entire_cosine_integral,
@@ -126,6 +127,8 @@ def cmd_violation_sweep(args) -> int:
                     "grid_points": int(len(grid)),
                     "spectrum_max_mode": spectrum.max_mode,
                     "spectrum_tail_bound": spectrum.tail_bound,
+                    "spectrum_amplitude_tail_bound":
+                        spectrum.amplitude_tail_bound,
                     "fft_size": spectrum.fft_size},
         duration_s=t3 - t0,
         stages={"spectrum": t1 - t0, "evaluate": t2 - t1, "write": t3 - t2},
@@ -178,6 +181,9 @@ def cmd_snapshot(args) -> int:
                     "tau_list": taus, "zeta_step": args.zeta_step,
                     "tol": args.tol, "threads": args.threads,
                     "spectrum_max_mode": spectrum.max_mode,
+                    "spectrum_tail_bound": spectrum.tail_bound,
+                    "spectrum_amplitude_tail_bound":
+                        spectrum.amplitude_tail_bound,
                     "profile_lattice": profile_lattice(spectrum, zgrid)},
         duration_s=t3 - t0,
         stages={"spectrum": t1 - t0, "evaluate": t2 - t1, "write": t3 - t2},
@@ -413,7 +419,7 @@ def main(argv=None) -> int:
     except AdjudicationError as exc:
         print(f"adjudication failure: {exc}", file=sys.stderr)
         return 2
-    except NumericalConvergenceError as exc:
+    except (NumericalConvergenceError, ProbabilityRangeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -19,9 +19,11 @@ Two evaluation routes are provided:
     integrals int_f^Lambda sin(n pi zeta/L) sin(m pi zeta/L) dzeta have an
     elementary closed form in the index sum and difference, so P(tau)
     reduces to correlation sums over the phased coefficients, evaluated
-    with FFTs in O(N log N).  Exact for the truncated spectrum: the only
-    error is the spectrum's own tail (plus roundoff), reported as
-    2 sqrt(tail_bound).
+    with one forward and one inverse transform in O(N log N): both sums are
+    real, so the index-difference one goes in the real part and the
+    index-sum one in the imaginary part of a single inverse transform.
+    Exact for the truncated spectrum: the only error is the spectrum's own
+    tail (plus roundoff), reported as 2 sqrt(tail_bound).
 
 ``quadrature``  Adaptive Gauss-Kronrod on the sampled density, seeded with
     panels at the finest retained oscillation scale Lambda/N so the error
@@ -37,13 +39,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxmodes import ModeSpectrum, wavefunction
+from .boxmodes import ModeSpectrum, _phases, wavefunction
 from .params import SystemParams, time_scales
 from .quadrature import NumericalConvergenceError, QuadratureConfig, integrate
 
 __all__ = [
     "LightConeGeometry",
     "ViolationCurve",
+    "ProbabilityRangeError",
     "light_front",
     "violation_probability",
     "violation_curve",
@@ -51,6 +54,10 @@ __all__ = [
 ]
 
 _PI = math.pi
+
+
+class ProbabilityRangeError(RuntimeError):
+    """A computed P(tau) left [0, 1] by far more than its error estimate."""
 
 
 @dataclass(frozen=True)
@@ -90,22 +97,23 @@ def _pairwise_value(spectrum: ModeSpectrum, s: float, tau: float,
                     front: float) -> float:
     lam = spectrum.lambda_factor
     n_max = spectrum.max_mode
-    n = np.arange(1, n_max + 1, dtype=float)
-    c = spectrum.coefficients * np.exp(
-        -1j * _PI**2 * n * n * tau / (2.0 * lam * lam * s))
     pad = np.zeros(spectrum.fft_size, dtype=complex)
-    pad[1:n_max + 1] = c
-    spec_fft = np.fft.fft(pad)
-    # lag sums over index difference (autocorrelation) and index sum (folded
-    # convolution with the conjugate); real parts carry the cosine algebra
-    auto = np.fft.ifft(spec_fft * np.conj(spec_fft))
-    fold = np.fft.ifft(spec_fft * np.fft.fft(np.conj(pad)))
-    d = np.arange(1, n_max, dtype=float)
-    c_diff = _cosine_range_integrals(d, front, lam)
-    p = np.arange(2, 2 * n_max + 1, dtype=float)
-    c_sum = _cosine_range_integrals(p, front, lam)
-    x_term = (lam - front) * auto[0].real + 2.0 * float(c_diff @ auto[1:n_max].real)
-    y_term = float(c_sum @ fold[2:2 * n_max + 1].real)
+    pad[1:n_max + 1] = spectrum.coefficients * _phases(spectrum, s, tau)
+    f = np.fft.fft(pad)
+    f_neg = np.concatenate((f[:1], f[:0:-1]))  # F[-k]
+    power = f.real ** 2 + f.imag ** 2
+    # Re(autocorrelation) over index differences is the inverse transform of
+    # the even part of |F|^2, the folded convolution over index sums that of
+    # F conj(F[-k]); both are real, so one inverse transform yields both
+    packed = 1j * (f * f_neg.conj())
+    packed += 0.5 * (power + np.concatenate((power[:1], power[:0:-1])))
+    lags = np.fft.ifft(packed)
+    # index k = 1..2N: differences 1..N-1 and sums 2..2N share one array
+    cos_int = _cosine_range_integrals(
+        np.arange(1, 2 * n_max + 1, dtype=float), front, lam)
+    x_term = ((lam - front) * lags[0].real
+              + 2.0 * float(cos_int[:n_max - 1] @ lags[1:n_max].real))
+    y_term = float(cos_int[1:] @ lags[2:2 * n_max + 1].imag)
     return 0.5 * (x_term - y_term)
 
 
@@ -159,7 +167,7 @@ def violation_probability(spectrum: ModeSpectrum, params: SystemParams,
         raise ValueError(f"unknown method {method!r}")
     guard = max(1e-6, 10.0 * err)
     if not (-guard <= value <= 1.0 + guard):
-        raise RuntimeError(
+        raise ProbabilityRangeError(
             f"violation probability {value} outside [0,1] beyond numerical "
             f"tolerance {guard}; inconsistent spectrum or parameters")
     return (value, err) if full_output else value

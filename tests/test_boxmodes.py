@@ -194,6 +194,16 @@ class TestLatticeProfiles:
         amp = wavefunction(spectrum, 0.3, np.linspace(0.0, lam, 11), 0.731)
         assert amp[0] == 0.0 and amp[-1] == 0.0
 
+    def test_step_on_a_finer_common_lattice(self):
+        # multiples of 0.003 and then 4.7: no gap is 4.7/M for the M of the
+        # smallest gap, but every gap is a multiple of 0.001
+        spec = build_spectrum(4.7)
+        grid = _zeta_grid(4.7, 0.003)
+        assert profile_lattice(spec, grid) == 4700
+        amp = wavefunction(spec, 0.3, grid, 0.731)
+        ref = _pointwise(spec, 0.3, grid, 0.731)
+        assert np.max(np.abs(amp - ref)) <= 1e-12
+
     def test_point_off_lattice_takes_dense_path(self, spectrum):
         lam = spectrum.lambda_factor
         grid = np.linspace(0.0, lam, 21)

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import causalbox.lightcone
 import causalbox.special
+from causalbox import build_spectrum
 from causalbox.cli import main
 
 PI = math.pi
@@ -82,6 +84,22 @@ class TestViolationSweep:
         manifest = json.loads(_read(str(out) + ".manifest.json"))
         _assert_stages_tile(manifest)
         assert manifest["parameters"]["fft_size"] == 131072
+        spectrum = build_spectrum(5.0)
+        assert manifest["parameters"]["spectrum_tail_bound"] \
+            == spectrum.tail_bound
+        assert manifest["parameters"]["spectrum_amplitude_tail_bound"] \
+            == spectrum.amplitude_tail_bound
+
+    def test_probability_out_of_range_is_a_numerical_failure(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(causalbox.lightcone, "_pairwise_value",
+                            lambda *args: 5.0)
+        rc = main(["violation-sweep", "--s", "0.2", "--lambda", "5",
+                   "--tau-step", "0.5", "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("s, lam", [("inf", "5"), ("0.2", "inf")])
     def test_non_finite_parameter_rejected(self, tmp_path, capsys, s, lam):
@@ -133,6 +151,11 @@ class TestSnapshot:
         manifest = json.loads(_read(str(out) + ".manifest.json"))
         _assert_stages_tile(manifest)
         assert manifest["parameters"]["profile_lattice"] == 2500
+        spectrum = build_spectrum(5.0)
+        assert manifest["parameters"]["spectrum_tail_bound"] \
+            == spectrum.tail_bound
+        assert manifest["parameters"]["spectrum_amplitude_tail_bound"] \
+            == spectrum.amplitude_tail_bound
 
     @pytest.mark.parametrize("option", [("--zeta-step", "0"),
                                         ("--tau-list", "inf")])
@@ -145,7 +168,7 @@ class TestSnapshot:
     def test_step_not_dividing_lambda_is_recorded_as_dense(self, tmp_path):
         out = tmp_path / "snap.csv"
         assert main(["snapshot", "--s", "0.1", "--lambda", "5",
-                     "--tau-list", "0.37", "--zeta-step", "0.3",
+                     "--tau-list", "0.37", "--zeta-step", "0.31415926",
                      "--out", str(out)]) == 0
         manifest = json.loads(_read(str(out) + ".manifest.json"))
         assert manifest["parameters"]["profile_lattice"] is None

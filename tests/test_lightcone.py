@@ -15,6 +15,8 @@ from causalbox import (
     violation_probability,
     wavefunction,
 )
+from causalbox.boxmodes import _phases
+from causalbox.lightcone import _pairwise_value
 from causalbox.quadrature import QuadratureConfig
 
 PI = math.pi
@@ -99,6 +101,55 @@ class TestCrossRoutes:
         total = p + inside.value
         assert total == pytest.approx(small_spectrum.parseval_weight(),
                                       abs=err + inside.error_estimate + 1e-9)
+
+
+def _double_sum_oracle(spectrum, s, tau, front):
+    """sum_{n,m} c_n conj(c_m) int_front^Lambda sin(n k z) sin(m k z) dz.
+
+    k = pi/Lambda.  Each integral from its antiderivative evaluated at both
+    ends; phases from the unreduced dispersion law; no transform anywhere.
+    """
+    lam = spectrum.lambda_factor
+    k = PI / lam
+    n = np.arange(1, spectrum.max_mode + 1, dtype=float)
+    c = spectrum.coefficients * np.exp(-1j * PI**2 * n * n * tau
+                                       / (2.0 * lam * lam * s))
+    d = n[:, None] - n[None, :]
+    p = n[:, None] + n[None, :]
+
+    def antiderivative(z):
+        same = z / 2.0 - np.sin(p * k * z) / (2.0 * p * k)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            other = (np.sin(d * k * z) / (2.0 * d * k)
+                     - np.sin(p * k * z) / (2.0 * p * k))
+        return np.where(d == 0, same, other)
+
+    total = c @ (antiderivative(lam) - antiderivative(front)) @ np.conj(c)
+    assert abs(total.imag) <= 1e-14
+    return total.real
+
+
+@pytest.mark.parametrize("lam, tol", [(2.0, 1e-3), (5.0, 1e-4)])
+def test_pairwise_kernel_matches_double_sum(lam, tol):
+    spectrum = build_spectrum(lam, tol=tol, uniform_tol=1.0)
+    assert spectrum.max_mode < 100
+    # the last time is 3.5 revival periods at s = 0.05, Lambda = 2
+    for s, tau, front in [(0.3, 0.2, 1.2), (1.0, 0.6, 1.45),
+                          (0.2, 0.37, lam - 0.3), (0.05, 0.9, 1.9)]:
+        value = _pairwise_value(spectrum, s, tau, front)
+        assert value == pytest.approx(
+            _double_sum_oracle(spectrum, s, tau, front), abs=1e-13)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.7])
+def test_reduced_phases_match_unreduced_law(spectrum_lam5, s):
+    lam = spectrum_lam5.lambda_factor
+    tau_rev = time_scales(SystemParams(s=s, lambda_factor=lam)).tau_revival
+    n = np.arange(1, spectrum_lam5.max_mode + 1, dtype=float)
+    for tau in (0.0, 0.37, 0.5 * tau_rev, 1.3 * tau_rev, 2.9 * tau_rev):
+        arg = PI**2 * n * n * tau / (2.0 * lam * lam * s)
+        diff = np.abs(_phases(spectrum_lam5, s, tau) - np.exp(-1j * arg))
+        assert diff.max() <= 64.0 * np.finfo(float).eps * max(arg.max(), 1.0)
 
 
 def test_unknown_method(spectrum_lam5, params_s02):
