@@ -39,20 +39,17 @@ from .special import (
 )
 from .boxmodes import (
     ModeSpectrum,
-    WaveSample,
     DensityCurve,
     mode_coefficient,
     coefficient_ratio,
     build_spectrum,
     wavefunction,
-    wave_sample,
     initial_state,
     density_snapshot,
     density_norm,
     parseval_partial_sum,
 )
 from .lightcone import (
-    LightConeGeometry,
     ViolationCurve,
     light_front,
     violation_probability,
@@ -71,14 +68,11 @@ from .breakdown import (
     gaussian_width,
 )
 from .freespace import (
-    MomentumAmplitude,
-    FreeEvolutionSample,
     AsymptoticResult,
     ConventionRecord,
     AdjudicationError,
     momentum_amplitude,
     free_wavefunction,
-    free_evolution_sample,
     stationary_wavenumber,
     free_violation_probability,
     asymptotic_violation,
@@ -98,18 +92,16 @@ __all__ = [
     "integrate",
     "EULER_GAMMA", "sine_integral", "cosine_integral",
     "entire_cosine_integral", "REFERENCE_TABLE", "reference_table_errors",
-    "ModeSpectrum", "WaveSample", "DensityCurve", "mode_coefficient",
-    "coefficient_ratio", "build_spectrum", "wavefunction", "wave_sample",
-    "initial_state", "density_snapshot", "density_norm",
-    "parseval_partial_sum",
-    "LightConeGeometry", "ViolationCurve", "light_front",
+    "ModeSpectrum", "DensityCurve", "mode_coefficient", "coefficient_ratio",
+    "build_spectrum", "wavefunction", "initial_state", "density_snapshot",
+    "density_norm", "parseval_partial_sum",
+    "ViolationCurve", "light_front",
     "violation_probability", "violation_curve", "default_sweep_grid",
     "CONFINEMENT_THRESHOLD", "GAMMA_THRESHOLD", "BreakdownReport",
     "GaussianSpreadDemo", "breakdown_possible", "breakdown_interval",
     "is_total_breakdown", "breakdown_report", "gaussian_width",
-    "MomentumAmplitude", "FreeEvolutionSample", "AsymptoticResult",
-    "ConventionRecord", "AdjudicationError", "momentum_amplitude",
-    "free_wavefunction", "free_evolution_sample", "stationary_wavenumber",
+    "AsymptoticResult", "ConventionRecord", "AdjudicationError",
+    "momentum_amplitude", "free_wavefunction", "stationary_wavenumber",
     "free_violation_probability", "asymptotic_violation",
     "asymptotic_violation_closed", "asymptotic_series",
     "adjudicate_convention", "default_convention_record", "asymptotic_result",

@@ -64,14 +64,11 @@ from .quadrature import NumericalConvergenceError, QuadratureConfig, integrate
 from .special import entire_cosine_integral, sine_integral
 
 __all__ = [
-    "MomentumAmplitude",
-    "FreeEvolutionSample",
     "AsymptoticResult",
     "ConventionRecord",
     "AdjudicationError",
     "momentum_amplitude",
     "free_wavefunction",
-    "free_evolution_sample",
     "stationary_wavenumber",
     "free_violation_probability",
     "asymptotic_violation",
@@ -93,33 +90,6 @@ class AdjudicationError(RuntimeError):
     probability disagrees with both asymptotic readings beyond the hard
     threshold; indicates an implementation bug, not a physics ambiguity.
     """
-
-
-@dataclass(frozen=True)
-class MomentumAmplitude:
-    """Momentum-space amplitude g at one wavenumber."""
-
-    kappa: float
-    value: float
-
-    @classmethod
-    def at(cls, kappa: float) -> "MomentumAmplitude":
-        return cls(kappa=float(kappa), value=momentum_amplitude(kappa))
-
-
-@dataclass(frozen=True)
-class FreeEvolutionSample:
-    """One space-time sample of the semi-infinite release.
-
-    chi is the bare oscillatory integral (amplitude / (i sqrt(2))); y is
-    the ray variable zeta / tau, NaN at tau = 0.
-    """
-
-    zeta: float
-    tau: float
-    y: float
-    chi: complex
-    density: float
 
 
 def momentum_amplitude(kappa):
@@ -297,16 +267,6 @@ def free_wavefunction(zeta, tau: float, s: float,
     else:
         raise ValueError(f"unknown method {method!r}")
     return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
-
-
-def free_evolution_sample(zeta: float, tau: float, s: float) -> FreeEvolutionSample:
-    """Bundle one (zeta, tau) sample with its ray variable and density."""
-    amp = free_wavefunction(zeta, tau, s)
-    return FreeEvolutionSample(
-        zeta=float(zeta), tau=float(tau),
-        y=float(zeta / tau) if tau > 0 else math.nan,
-        chi=amp / (1j * math.sqrt(2.0)),
-        density=abs(amp) ** 2)
 
 
 def free_violation_probability(tau: float, s: float,

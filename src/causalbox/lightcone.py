@@ -27,9 +27,11 @@ Two evaluation routes are provided:
 
 ``quadrature``  Adaptive Gauss-Kronrod on the sampled density, seeded with
     panels at the finest retained oscillation scale Lambda/N so the error
-    estimator never sees an unresolved beat.  Orders of magnitude slower
-    for sweep work (each refinement wave re-evaluates the dense mode sum),
-    kept as the independent cross-check of the pairwise algebra.
+    estimator never sees an unresolved beat.  Each refinement wave
+    re-evaluates the dense mode sum at its nodes: about 40 ms for one P at
+    N = 1 191 (12 990 nodes, one wave), against 0.2 ms for the pairwise
+    route on the same spectrum (one core of a 2-core Xeon).  Kept as the
+    independent cross-check of the pairwise algebra.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .params import SystemParams, time_scales
 from .quadrature import NumericalConvergenceError, QuadratureConfig, integrate
 
 __all__ = [
-    "LightConeGeometry",
     "ViolationCurve",
     "ProbabilityRangeError",
     "light_front",
@@ -58,16 +59,6 @@ _PI = math.pi
 
 class ProbabilityRangeError(RuntimeError):
     """A computed P(tau) left [0, 1] by far more than its error estimate."""
-
-
-@dataclass(frozen=True)
-class LightConeGeometry:
-    """Front of the compatible region for an outer box of width Lambda."""
-
-    lambda_factor: float
-
-    def front(self, tau: float) -> float:
-        return light_front(tau, self.lambda_factor)
 
 
 def light_front(tau: float, lambda_factor: float) -> float:

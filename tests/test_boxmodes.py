@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from causalbox import (
+    ModeSpectrum,
     SystemParams,
     build_spectrum,
     coefficient_ratio,
@@ -13,7 +14,6 @@ from causalbox import (
     mode_coefficient,
     parseval_partial_sum,
     time_scales,
-    wave_sample,
     wavefunction,
 )
 from causalbox.boxmodes import profile_lattice
@@ -125,6 +125,15 @@ class TestWavefunction:
         with pytest.raises(ValueError):
             wavefunction(spectrum_lam5, -0.2, 1.0, 0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_zeta_rejected(self, spectrum_lam5, bad):
+        with pytest.raises(ValueError, match="finite"):
+            wavefunction(spectrum_lam5, 0.2, bad, 0.37)
+        grid = np.linspace(0.0, 5.0, 11)
+        grid[4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            wavefunction(spectrum_lam5, 0.2, grid, 0.37)
+
     def test_specular_revival_modulus(self, spectrum_lam5):
         s = 0.1
         tau_spec = time_scales(SystemParams(s=s, lambda_factor=5.0)).tau_specular
@@ -141,11 +150,6 @@ class TestWavefunction:
         after = wavefunction(spectrum_lam5, s, zg, 1.234 + tau_rev)
         assert np.max(np.abs(before - after)) < 1e-10
 
-    def test_wave_sample_bundle(self, spectrum_lam5):
-        sample = wave_sample(spectrum_lam5, 0.2, 0.5, 0.37)
-        assert sample.zeta == 0.5 and sample.tau == 0.37
-        assert sample.amplitude == wavefunction(spectrum_lam5, 0.2, 0.5, 0.37)
-
     def test_block_boundaries_do_not_matter(self, spectrum_lam5):
         # array evaluation must equal per-point evaluation to tight roundoff
         zg = np.linspace(0.3, 4.9, 7)
@@ -158,6 +162,62 @@ class TestWavefunction:
 def _pointwise(spectrum, s, zeta, tau):
     """Reference: one dense-sum scalar call per point."""
     return np.array([wavefunction(spectrum, s, float(z), tau) for z in zeta])
+
+
+def _first_modes(lam, n_max):
+    """The expansion cut at exactly n_max modes, whatever its tails."""
+    return ModeSpectrum(lambda_factor=lam, max_mode=n_max,
+                        coefficients=mode_coefficient(
+                            np.arange(1, n_max + 1), lam),
+                        tail_bound=math.inf, amplitude_tail_bound=math.inf)
+
+
+class TestDenseKernel:
+    """Off-lattice points take the factored dense sum (n = aB + b, angle
+    addition); it must equal the plain sum over n point by point."""
+
+    SPECTRA = {
+        "lam1_N1": lambda: _first_modes(1.0, 1),
+        "lam2": lambda: build_spectrum(2.0),
+        "lam4.7": lambda: build_spectrum(4.7),
+        "lam20": lambda: build_spectrum(20.0),
+        "square": lambda: _first_modes(3.3, 2499),  # N + 1 = 50^2
+        "prime": lambda: _first_modes(3.3, 2002),  # N + 1 = 2003
+    }
+
+    @pytest.fixture(scope="class", params=sorted(SPECTRA))
+    def spectrum(self, request):
+        return self.SPECTRA[request.param]()
+
+    @staticmethod
+    def _oracle(spectrum, s, zeta, tau):
+        """Plain per-point sum, phases from the unreduced law."""
+        lam = spectrum.lambda_factor
+        n = np.arange(1, spectrum.max_mode + 1, dtype=float)
+        c = spectrum.coefficients * np.exp(
+            -1j * PI**2 * n**2 * tau / (2.0 * lam**2 * s))
+        return np.array([np.sum(c * np.sin(n * PI * z / lam)) for z in zeta])
+
+    def test_matches_plain_sum(self, spectrum):
+        lam, s, tau = spectrum.lambda_factor, 0.3, 0.731
+        zeta = np.array([1e-12, lam - 1e-12, 1.0 - 1e-9, 1.0 + 1e-9,
+                         0.5 * math.sqrt(2.0), lam / math.e, lam / PI])
+        zeta = zeta[zeta < lam]
+        assert profile_lattice(spectrum, zeta) is None
+        amp = wavefunction(spectrum, s, zeta, tau)
+        ref = self._oracle(spectrum, s, zeta, tau)
+        assert np.max(np.abs(amp - ref)) <= 1e-12
+
+    def test_batch_over_several_blocks_equals_single_points(self):
+        # a block holds about 1e6 / (A + B) points, 1177 at N = 180 064,
+        # so this batch spans four blocks
+        spec = build_spectrum(20.0)
+        zeta = np.sort(np.random.default_rng(11).uniform(0.0, 20.0, 4001))
+        amp = wavefunction(spec, 0.3, zeta, 0.731)
+        picks = np.unique(np.concatenate(
+            [np.arange(0, 4001, 160), np.arange(1170, 1185), [4000]]))
+        ref = _pointwise(spec, 0.3, zeta[picks], 0.731)
+        assert np.max(np.abs(amp[picks] - ref)) <= 1e-12
 
 
 class TestLatticeProfiles:

@@ -173,6 +173,17 @@ class TestSnapshot:
         manifest = json.loads(_read(str(out) + ".manifest.json"))
         assert manifest["parameters"]["profile_lattice"] is None
 
+    def test_thread_count_does_not_change_bytes(self, tmp_path):
+        # off-lattice grid: every profile takes the dense sum through BLAS
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ["snapshot", "--s", "0.1", "--lambda", "5",
+                "--zeta-step", "0.31415926"]
+        assert main(argv + ["--out", str(a), "--threads", "1"]) == 0
+        assert main(argv + ["--out", str(b), "--threads", "2"]) == 0
+        manifest = json.loads(_read(str(b) + ".manifest.json"))
+        assert manifest["parameters"]["profile_lattice"] is None
+        assert _read(a) == _read(b)
+
 
 class TestAsymptotic:
     def test_columns_and_convention_cache(self, tmp_path):

@@ -11,7 +11,6 @@ from causalbox import (
     asymptotic_violation,
     asymptotic_violation_closed,
     default_convention_record,
-    free_evolution_sample,
     free_violation_probability,
     free_wavefunction,
     integrate,
@@ -25,12 +24,6 @@ PI = math.pi
 
 
 class TestMomentumAmplitude:
-    def test_sample_type(self):
-        from causalbox import MomentumAmplitude
-        sample = MomentumAmplitude.at(PI)
-        assert sample.kappa == PI
-        assert sample.value == momentum_amplitude(PI)
-
     def test_pole_limits(self):
         assert momentum_amplitude(PI) == pytest.approx(-1.0 / (2.0 * PI),
                                                        rel=1e-14)
@@ -114,14 +107,6 @@ class TestFreeWavefunction:
                              breakpoints=tuple(cuts)))
         assert res.converged
         assert res.value == pytest.approx(1.0, abs=1e-4)
-
-    def test_sample_bundle(self):
-        sample = free_evolution_sample(1.2, 0.6, 0.8)
-        assert sample.y == pytest.approx(2.0, rel=1e-15)
-        amp = free_wavefunction(1.2, 0.6, 0.8)
-        assert sample.density == pytest.approx(abs(amp) ** 2, rel=1e-14)
-        assert sample.chi == pytest.approx(amp / (1j * math.sqrt(2.0)),
-                                           rel=1e-14)
 
 
 def test_stationary_wavenumber():
