@@ -15,12 +15,12 @@ import math
 
 from causalbox import (
     CONFINEMENT_THRESHOLD,
-    GaussianSpreadDemo,
     SystemParams,
     breakdown_interval,
     breakdown_possible,
+    gaussian_width,
     lorentz_factor,
-    relativistic_context,
+    speed_fraction,
     time_scales,
 )
 
@@ -29,9 +29,8 @@ print("Confinement size vs relativistic character")
 print("=" * 72)
 print(f"{'s':>8} {'gamma':>12} {'v/c':>10} {'tau_rev (L=5)':>14}")
 for s in (100.0, 10.0, 4.0, 1.0, 0.5, 0.2, 0.1, 0.05):
-    ctx = relativistic_context(s)
     ts = time_scales(SystemParams(s=s, lambda_factor=5.0))
-    print(f"{s:8.2f} {ctx.gamma:12.4f} {ctx.speed_fraction:10.6f} "
+    print(f"{s:8.2f} {lorentz_factor(s):12.4f} {speed_fraction(s):10.6f} "
           f"{ts.tau_revival:14.4f}")
 
 print()
@@ -59,12 +58,11 @@ print("of this library.")
 print()
 print(f"{'sigma0':>8} {'superluminal':>13} {'sigma(tau=10)/10':>18}")
 for sigma0 in (0.1, 0.3, 0.5, 1.0, 2.0):
-    demo = GaussianSpreadDemo(sigma0)
-    print(f"{sigma0:8.2f} {str(demo.superluminal):>13} "
-          f"{demo.width(10.0) / 10.0:18.4f}")
+    print(f"{sigma0:8.2f} {str(sigma0 < 0.5):>13} "
+          f"{gaussian_width(sigma0, 10.0) / 10.0:18.4f}")
 
 print()
 print(f"marginal case sigma0 = 1/2: width/tau -> "
-      f"{GaussianSpreadDemo(0.5).width(1e6) / 1e6:.8f} (exactly light speed)")
+      f"{gaussian_width(0.5, 1e6) / 1e6:.8f} (exactly light speed)")
 print(f"sigma0 = 0.1 at tau = 1: width = {math.sqrt(0.01 + 25.0):.4f} "
       f"(already 5x the light-travel distance)")

@@ -16,11 +16,9 @@ over reduced Compton wavelength.
 
 from .params import (
     SystemParams,
-    RelativisticContext,
     TimeScales,
     lorentz_factor,
     speed_fraction,
-    relativistic_context,
     time_scales,
 )
 from .quadrature import (
@@ -60,7 +58,6 @@ from .breakdown import (
     CONFINEMENT_THRESHOLD,
     GAMMA_THRESHOLD,
     BreakdownReport,
-    GaussianSpreadDemo,
     breakdown_possible,
     breakdown_interval,
     is_total_breakdown,
@@ -86,8 +83,8 @@ from .freespace import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "SystemParams", "RelativisticContext", "TimeScales",
-    "lorentz_factor", "speed_fraction", "relativistic_context", "time_scales",
+    "SystemParams", "TimeScales",
+    "lorentz_factor", "speed_fraction", "time_scales",
     "QuadratureConfig", "QuadratureResult", "NumericalConvergenceError",
     "integrate",
     "EULER_GAMMA", "sine_integral", "cosine_integral",
@@ -98,7 +95,7 @@ __all__ = [
     "ViolationCurve", "light_front",
     "violation_probability", "violation_curve", "default_sweep_grid",
     "CONFINEMENT_THRESHOLD", "GAMMA_THRESHOLD", "BreakdownReport",
-    "GaussianSpreadDemo", "breakdown_possible", "breakdown_interval",
+    "breakdown_possible", "breakdown_interval",
     "is_total_breakdown", "breakdown_report", "gaussian_width",
     "AsymptoticResult", "ConventionRecord", "AdjudicationError",
     "momentum_amplitude", "free_wavefunction", "stationary_wavenumber",

@@ -39,7 +39,6 @@ __all__ = [
     "CONFINEMENT_THRESHOLD",
     "GAMMA_THRESHOLD",
     "BreakdownReport",
-    "GaussianSpreadDemo",
     "breakdown_possible",
     "breakdown_interval",
     "is_total_breakdown",
@@ -61,25 +60,6 @@ class BreakdownReport:
     interval: Optional[Tuple[float, float]]
     gamma_threshold: float
     total_breakdown: bool
-
-
-@dataclass(frozen=True)
-class GaussianSpreadDemo:
-    """Free Gaussian packet of initial width sigma0 (reduced Compton units)."""
-
-    sigma0: float
-
-    def __post_init__(self):
-        if not self.sigma0 > 0:
-            raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
-
-    @property
-    def superluminal(self) -> bool:
-        """Whether the width asymptotically exceeds the light-travel distance."""
-        return self.sigma0 < 0.5
-
-    def width(self, tau: float) -> float:
-        return gaussian_width(self.sigma0, tau)
 
 
 def breakdown_possible(s: float) -> bool:

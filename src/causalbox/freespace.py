@@ -60,6 +60,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import erf as _cerf
 
+from .boxmodes import initial_state
 from .quadrature import NumericalConvergenceError, QuadratureConfig, integrate
 from .special import entire_cosine_integral, sine_integral
 
@@ -130,10 +131,6 @@ def stationary_wavenumber(y: float, s: float) -> float:
     if y < 0:
         raise ValueError(f"ray variable y must be non-negative, got {y}")
     return s * y
-
-
-def _initial_profile(z: np.ndarray) -> np.ndarray:
-    return np.where((z > 0.0) & (z < 1.0), np.sqrt(2.0) * np.sin(_PI * z), 0.0)
 
 
 def _psi_erf(z: np.ndarray, tau: float, s: float) -> np.ndarray:
@@ -237,7 +234,7 @@ def free_wavefunction(zeta, tau: float, s: float,
     zeta may be scalar or array for the closed-form and stationary-phase
     paths; the quadrature path is scalar.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"tau must be non-negative, got {tau}")
     if not s > 0:
         raise ValueError(f"confinement size s must be positive, got {s}")
@@ -247,7 +244,7 @@ def free_wavefunction(zeta, tau: float, s: float,
     if method == "auto":
         method = "erf" if tau > 0 else "initial"
     if method == "initial" or (method == "erf" and tau == 0.0):
-        out = _initial_profile(np.atleast_1d(z)).astype(complex)
+        out = initial_state(np.atleast_1d(z)).astype(complex)
     elif method == "erf":
         out = _psi_erf(np.atleast_1d(z), tau, s)
     elif method == "stationary-phase":

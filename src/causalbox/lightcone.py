@@ -63,7 +63,7 @@ class ProbabilityRangeError(RuntimeError):
 
 def light_front(tau: float, lambda_factor: float) -> float:
     """Position min(1 + tau, Lambda) reached by light released at the inner wall."""
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"tau must be non-negative, got {tau}")
     return min(1.0 + tau, lambda_factor)
 
@@ -143,8 +143,6 @@ def violation_probability(spectrum: ModeSpectrum, params: SystemParams,
     multiple of the estimate raises, since that indicates a bug rather
     than roundoff.
     """
-    if tau < 0:
-        raise ValueError(f"tau must be non-negative, got {tau}")
     front = light_front(tau, spectrum.lambda_factor)
     if front >= spectrum.lambda_factor:
         return (0.0, 0.0) if full_output else 0.0

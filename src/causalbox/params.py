@@ -35,11 +35,9 @@ from dataclasses import dataclass
 
 __all__ = [
     "SystemParams",
-    "RelativisticContext",
     "TimeScales",
     "lorentz_factor",
     "speed_fraction",
-    "relativistic_context",
     "time_scales",
 ]
 
@@ -66,20 +64,6 @@ class SystemParams:
                 f"expansion factor must exceed 1 and be finite, "
                 f"got {self.lambda_factor}"
             )
-
-
-@dataclass(frozen=True)
-class RelativisticContext:
-    """Relativistic quantities implied by a confinement size s.
-
-    gamma               Lorentz factor of the equivalent classical particle
-    speed_fraction      v/c in [0, 1)
-    ground_energy_ratio E0 / (m c^2) = gamma - 1
-    """
-
-    gamma: float
-    speed_fraction: float
-    ground_energy_ratio: float
 
 
 @dataclass(frozen=True)
@@ -120,16 +104,6 @@ def speed_fraction(s: float) -> float:
     excess = math.pi**2 / (2.0 * s * s)  # gamma - 1, exact
     gamma = 1.0 + excess
     return math.sqrt(excess * (gamma + 1.0)) / gamma
-
-
-def relativistic_context(s: float) -> RelativisticContext:
-    """Bundle gamma, v/c and the energy ratio for a confinement size s."""
-    gamma = lorentz_factor(s)
-    return RelativisticContext(
-        gamma=gamma,
-        speed_fraction=speed_fraction(s),
-        ground_energy_ratio=gamma - 1.0,
-    )
 
 
 def time_scales(params: SystemParams) -> TimeScales:

@@ -5,7 +5,6 @@ import pytest
 
 from causalbox import (
     CONFINEMENT_THRESHOLD,
-    GaussianSpreadDemo,
     breakdown_interval,
     breakdown_possible,
     breakdown_report,
@@ -117,15 +116,8 @@ class TestGaussianSpread:
             assert rate == pytest.approx(1.0 / (2.0 * sigma0), rel=1e-9)
             assert (rate > 1.0) == (sigma0 < 0.5)
 
-    def test_demo_flag(self):
-        assert GaussianSpreadDemo(0.1).superluminal
-        assert not GaussianSpreadDemo(0.5).superluminal
-        assert GaussianSpreadDemo(0.3).width(2.0) == gaussian_width(0.3, 2.0)
-
     def test_domain(self):
         with pytest.raises(ValueError):
             gaussian_width(0.0, 1.0)
         with pytest.raises(ValueError):
             gaussian_width(0.5, -1.0)
-        with pytest.raises(ValueError):
-            GaussianSpreadDemo(-0.5)

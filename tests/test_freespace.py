@@ -59,6 +59,9 @@ class TestFreeWavefunction:
             free_wavefunction(-0.5, 0.1, 1.0)
         with pytest.raises(ValueError):
             free_wavefunction(0.5, -0.1, 1.0)
+        for method in ("auto", "erf", "quadrature", "stationary-phase"):
+            with pytest.raises(ValueError, match="tau must be non-negative"):
+                free_wavefunction(0.5, math.nan, 1.0, method=method)
         with pytest.raises(ValueError):
             free_wavefunction(0.5, 0.1, -1.0)
         with pytest.raises(ValueError):

@@ -30,6 +30,8 @@ def test_light_front_values():
     assert np.all(np.diff(fronts) >= 0)
     with pytest.raises(ValueError):
         light_front(-0.1, 5.0)
+    with pytest.raises(ValueError):
+        light_front(math.nan, 5.0)
 
 
 def test_violation_vanishes_at_release(spectrum_lam5, params_s02):
@@ -158,6 +160,17 @@ def test_unknown_method(spectrum_lam5, params_s02):
 def test_negative_tau(spectrum_lam5, params_s02):
     with pytest.raises(ValueError):
         violation_probability(spectrum_lam5, params_s02, -0.5)
+
+
+@pytest.mark.parametrize("method", ["pairwise", "quadrature"])
+def test_nan_tau_is_invalid_input(spectrum_lam5, params_s02, method):
+    # NaN passes a `tau < 0` test; it must not reach the numerics
+    with pytest.raises(ValueError, match="tau must be non-negative"):
+        violation_probability(spectrum_lam5, params_s02, math.nan,
+                              method=method)
+    # the front has swept the box at any finite or infinite late time
+    assert violation_probability(spectrum_lam5, params_s02, math.inf,
+                                 method=method) == 0.0
 
 
 class TestCurve:

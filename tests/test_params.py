@@ -6,7 +6,6 @@ import pytest
 from causalbox import (
     SystemParams,
     lorentz_factor,
-    relativistic_context,
     speed_fraction,
     time_scales,
 )
@@ -17,6 +16,7 @@ def test_lorentz_reference_points():
     assert lorentz_factor(4.0) == pytest.approx(1.30843, abs=5e-6)
     # threshold confinement maps to an exactly representable integer factor
     assert lorentz_factor(math.pi / 16.0) == pytest.approx(129.0, rel=1e-12)
+    assert lorentz_factor(0.1) == pytest.approx(494.4802200544679, rel=1e-12)
     assert lorentz_factor(1e8) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -49,13 +49,6 @@ def test_gamma_monotone_decreasing():
     gammas = np.array([lorentz_factor(s) for s in grid])
     assert np.all(np.diff(gammas) < 0)
     assert np.all(gammas > 1.0)
-
-
-def test_relativistic_context_bundles():
-    ctx = relativistic_context(0.1)
-    assert ctx.gamma == pytest.approx(494.4802200544679, rel=1e-12)
-    assert ctx.ground_energy_ratio == pytest.approx(ctx.gamma - 1.0, rel=1e-15)
-    assert ctx.speed_fraction == pytest.approx(speed_fraction(0.1), rel=1e-15)
 
 
 def test_time_scales_reference():
