@@ -4,10 +4,10 @@ With the outer box removed the released state propagates on the half line
 and the violation probability settles, as tau grows, to a limit P(s) that
 depends only on the confinement size.  This script shows the machinery
 end to end: the exact Fresnel-integral evaluation of the wave function
-(cross-checked against direct oscillatory quadrature), the approach of
-P(tau) to its asymptote, the adjudication oracle that pins down which
-argument convention the closed-form curve uses, and the agreement of the
-integral, tabulated-function, and cubic-series routes.
+and its late-time stationary-phase form, the approach of P(tau) to its
+asymptote, the adjudication oracle that pins down which argument
+convention the closed-form curve uses, and the agreement of the integral,
+tabulated-function, and cubic-series routes.
 
 Run:  python demos/04_free_expansion_asymptotics.py
 """
@@ -20,21 +20,20 @@ from causalbox import (
     default_convention_record,
     free_violation_probability,
     free_wavefunction,
-    stationary_wavenumber,
+    stationary_phase_wavefunction,
 )
 
-print("Exact closed form vs direct oscillatory quadrature of the momentum")
-print("integral (independent evaluation routes):")
-print(f"{'zeta':>6} {'tau':>6} {'s':>5} {'|psi| closed':>14} {'|psi| quad':>14}")
-for zeta, tau, s in ((0.5, 0.3, 1.0), (2.0, 1.0, 2.0), (5.0, 3.0, 1.0)):
-    a = free_wavefunction(zeta, tau, s)
-    q = free_wavefunction(zeta, tau, s, method="quadrature")
-    print(f"{zeta:6.2f} {tau:6.2f} {s:5.2f} {abs(a):14.10f} {abs(q):14.10f}")
-
-print()
-print("Late times select one wavenumber per ray zeta/tau (kappa = s zeta/tau;")
-print(f"the light front zeta = tau rides kappa = s itself: "
-      f"kappa0 = {stationary_wavenumber(1.0, 0.7):.2f} at s = 0.7).")
+print("Late times select one wavenumber per ray y = zeta/tau, kappa0 = s y;")
+print("the light front y = 1 rides kappa0 = s itself.  Exact closed form vs")
+print("the stationary-phase amplitude built on that wavenumber:")
+print(f"{'zeta':>7} {'tau':>6} {'s':>5} {'kappa0':>7} {'|psi| exact':>13} "
+      f"{'|psi| stat.':>13} {'rel. diff':>9}")
+for zeta, tau, s in ((3.0, 10.0, 1.0), (30.0, 40.0, 2.0), (800.0, 900.0, 1.0),
+                     (1000.0, 1000.0, 0.7), (2000.0, 1000.0, 2.0)):
+    a = abs(free_wavefunction(zeta, tau, s))
+    sp = abs(stationary_phase_wavefunction(zeta, tau, s))
+    print(f"{zeta:7.1f} {tau:6.0f} {s:5.2f} {s * zeta / tau:7.3f} "
+          f"{a:13.9f} {sp:13.9f} {abs(sp - a) / a:9.1e}")
 print()
 print("P(tau) approaching the asymptote P(s):")
 print(f"{'s':>5} {'P(30)':>10} {'P(100)':>10} {'P(1000)':>10} {'P(inf)':>10}")

@@ -70,7 +70,7 @@ from .freespace import (
     AdjudicationError,
     momentum_amplitude,
     free_wavefunction,
-    stationary_wavenumber,
+    stationary_phase_wavefunction,
     free_violation_probability,
     asymptotic_violation,
     asymptotic_violation_closed,
@@ -98,7 +98,8 @@ __all__ = [
     "breakdown_possible", "breakdown_interval",
     "is_total_breakdown", "breakdown_report", "gaussian_width",
     "AsymptoticResult", "ConventionRecord", "AdjudicationError",
-    "momentum_amplitude", "free_wavefunction", "stationary_wavenumber",
+    "momentum_amplitude", "free_wavefunction",
+    "stationary_phase_wavefunction",
     "free_violation_probability", "asymptotic_violation",
     "asymptotic_violation_closed", "asymptotic_series",
     "adjudicate_convention", "default_convention_record", "asymptotic_result",

@@ -142,24 +142,41 @@ def mode_coefficient(n, lambda_factor: float):
     return -(2.0 * math.sqrt(2.0) * lam / _PI) * coefficient_ratio(n, lam)
 
 
+def _tanh_excess(x: float) -> float:
+    """x/(1 - x^2) - atanh(x) for 0 <= x < 1, without cancellation.
+
+    Below x = 1/2 the two terms agree to O(x^3), so the difference is
+    summed as sum_{k>=1} (2k/(2k+1)) x^(2k+1) instead.
+    """
+    if x > 0.5:
+        return x / (1.0 - x * x) - math.atanh(x)
+    x2, term, total, k = x * x, x, 0.0, 0
+    while True:
+        k += 1
+        term *= x2
+        part = 2.0 * k / (2.0 * k + 1.0) * term
+        total += part
+        if part <= 1e-17 * total:
+            return total
+
+
 def _tail_weight_bound(n_max: float, lam: float) -> float:
     """Closed-form bound on the Parseval weight beyond mode n_max.
 
     Uses |b_n| <= (2 sqrt(2) Lambda/pi)/(n^2 - Lambda^2) and the exact
-    integral of (x^2 - Lambda^2)^-2 from n_max to infinity.
+    integral of (x^2 - Lambda^2)^-2 from n_max to infinity, which is
+    (2/pi^2)(x/(1 - x^2) - atanh x) with x = Lambda/n_max.
     """
     if n_max <= lam:
         return math.inf
-    t = (1.0 / (n_max - lam) + 1.0 / (n_max + lam)
-         - math.log((n_max + lam) / (n_max - lam)) / lam) / (4.0 * lam * lam)
-    return 4.0 * lam**3 / _PI**2 * t
+    return 2.0 / _PI**2 * _tanh_excess(lam / n_max)
 
 
 def _tail_amplitude_bound(n_max: float, lam: float) -> float:
     """Closed-form bound on sum_{n>N} |b_n|, the sup-norm truncation error."""
     if n_max <= lam:
         return math.inf
-    return math.sqrt(2.0) / _PI * math.log((n_max + lam) / (n_max - lam))
+    return 2.0 * math.sqrt(2.0) / _PI * math.atanh(lam / n_max)
 
 
 def _smallest_mode(lam: float, bound, tol: float) -> int:

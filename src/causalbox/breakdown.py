@@ -119,8 +119,8 @@ def gaussian_width(sigma0: float, tau: float) -> float:
     The ratio width/tau tends to 1/(2 sigma0), so packets narrower than
     one half spread faster than light asymptotically.
     """
-    if not sigma0 > 0:
-        raise ValueError(f"sigma0 must be positive, got {sigma0}")
-    if tau < 0:
-        raise ValueError(f"tau must be non-negative, got {tau}")
+    if not 0 < sigma0 < math.inf:
+        raise ValueError(f"sigma0 must be positive and finite, got {sigma0}")
+    if not 0 <= tau < math.inf:
+        raise ValueError(f"tau must be non-negative and finite, got {tau}")
     return math.hypot(sigma0, tau / (2.0 * sigma0))

@@ -23,18 +23,15 @@ the complex error function:
 with b = zeta + e1, p = e2 pi, alpha = tau / (2 s).  The principal-value
 poles introduced by the split cancel pairwise, so the sum is the exact
 amplitude for every (zeta, tau, s); erf on the e^{-i pi/4} ray is bounded
-and overflow-free.  This is the default evaluation path: it is exact, it
-vectorizes, and it costs four erf calls per point even at tau in the
-thousands, where direct oscillatory quadrature needs millions of samples.
-A truncated oscillatory quadrature of the kappa integral (subdivided at
-the stationary point kappa0 = s zeta / tau and at the quadratic-phase
-scale sqrt(2 pi s / tau), with analytic integration-by-parts tail
-corrections) is retained as an independent route, switching to the
-leading-order stationary-phase amplitude when tau/s exceeds 1e4.
+and overflow-free.  It is the only evaluation path of ``free_wavefunction``:
+it vectorizes and costs four erf calls per point even at tau in the
+thousands.  The test suite checks it against an independent 30-digit
+image-propagator integral in position space.
 
 Asymptotics.  For tau -> infinity the stationary-phase point kappa0 = s y
-(y = zeta/tau the ray variable) dominates, |psi|^2 ~ 4 pi s g(s y)^2/tau,
-and the weight beyond the light front y > 1 tends to
+(y = zeta/tau the ray variable) dominates, |psi|^2 ~ 4 pi s g(s y)^2/tau
+(``stationary_phase_wavefunction``), and the weight beyond the light front
+y > 1 tends to
 
     P(s) = 1 - 4 pi int_0^s sin^2(theta) / (theta^2 - pi^2)^2 dtheta,
 
@@ -54,7 +51,7 @@ baking either convention in silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,7 +67,7 @@ __all__ = [
     "AdjudicationError",
     "momentum_amplitude",
     "free_wavefunction",
-    "stationary_wavenumber",
+    "stationary_phase_wavefunction",
     "free_violation_probability",
     "asymptotic_violation",
     "asymptotic_violation_closed",
@@ -81,7 +78,8 @@ __all__ = [
 ]
 
 _PI = math.pi
-_STATIONARY_PHASE_RATIO = 1e4
+_FREE_VIOLATION_QUAD = QuadratureConfig(abs_tol=1e-7, rel_tol=0.0,
+                                        max_subdivisions=30000)
 
 
 class AdjudicationError(RuntimeError):
@@ -116,23 +114,6 @@ def momentum_amplitude(kappa):
     return float(out) if k.ndim == 0 else out
 
 
-def _momentum_amplitude_deriv(k: np.ndarray) -> np.ndarray:
-    # d/dkappa of g, used only far from the poles (tail corrections)
-    den = k * k - _PI * _PI
-    return np.cos(k) / den - 2.0 * k * np.sin(k) / den**2
-
-
-def stationary_wavenumber(y: float, s: float) -> float:
-    """Wavenumber kappa0 = s y dominating the ray zeta = y tau at late times.
-
-    The reduced Compton wavelength is the unit here, which is exactly why
-    the late-time violation probability depends on s alone.
-    """
-    if y < 0:
-        raise ValueError(f"ray variable y must be non-negative, got {y}")
-    return s * y
-
-
 def _psi_erf(z: np.ndarray, tau: float, s: float) -> np.ndarray:
     """Exact closed form; tau > 0."""
     alpha = tau / (2.0 * s)
@@ -149,145 +130,73 @@ def _psi_erf(z: np.ndarray, tau: float, s: float) -> np.ndarray:
     return 0.25j * math.sqrt(2.0) * total
 
 
-def _psi_stationary_phase(z: np.ndarray, tau: float, s: float) -> np.ndarray:
-    """Leading-order stationary-phase amplitude (late times)."""
-    k0 = s * z / tau
-    amp = momentum_amplitude(k0) * math.sqrt(2.0 * _PI * s / tau)
-    return 1j * math.sqrt(2.0) * amp * np.exp(1j * (s * z * z / (2.0 * tau) - _PI / 4.0))
+def _checked_points(zeta, tau: float, s: float) -> np.ndarray:
+    """Input checks shared by the free-space amplitudes; returns zeta as an array."""
+    if not 0 <= tau < math.inf:
+        raise ValueError(f"tau must be non-negative and finite, got {tau}")
+    if not 0 < s < math.inf:
+        raise ValueError(f"confinement size s must be positive and finite, got {s}")
+    z = np.asarray(zeta, dtype=float)
+    if not np.all((z >= 0) & (z < math.inf)):
+        raise ValueError("zeta must be non-negative (hard wall at 0) and finite")
+    return z
 
 
-def _psi_quadrature(zeta: float, tau: float, s: float,
-                    cfg: QuadratureConfig) -> Tuple[complex, float]:
-    """Oscillatory quadrature of the kappa integral for one point.
-
-    Finite window with breakpoints at the poles, the stationary point and
-    the quadratic-phase scale; the truncated tails are restored to first
-    order in 1/phase' analytically, and the discarded remainder enters the
-    error estimate.
-    """
-    if zeta == 0.0:
-        return 0.0 + 0.0j, 0.0  # odd integrand
-    alpha = tau / (2.0 * s)
-    k0 = s * zeta / tau if tau > 0 else 0.0
-    if alpha > 0:
-        osc = math.sqrt(2.0 * _PI / alpha)
-        k_max = max(8.0 * _PI, abs(k0) + 12.0 * max(osc, 1.0),
-                    abs(k0) + 2.0 * _PI + 4.0)
-        cuts = {-_PI, 0.0, _PI, k0, k0 - osc, k0 + osc, k0 - 4 * osc, k0 + 4 * osc}
-    else:
-        # linear phase of frequency zeta; window sized so the post-correction
-        # remainder ~ |g'|/zeta^2 falls below tolerance
-        k_max = max(8.0 * _PI,
-                    (1.0 / (max(zeta, 0.2) ** 2 * cfg.abs_tol)) ** (1.0 / 3.0))
-        cuts = {-_PI, 0.0, _PI}
-
-    def phase(k):
-        return k * zeta - alpha * k * k
-
-    def dphase(k):
-        return zeta - 2.0 * alpha * k
-
-    res = integrate(
-        lambda k: momentum_amplitude(k) * np.exp(1j * phase(k)),
-        -k_max, k_max,
-        QuadratureConfig(abs_tol=cfg.abs_tol, rel_tol=0.0,
-                         max_subdivisions=cfg.max_subdivisions,
-                         breakpoints=tuple(p for p in cuts if -k_max < p < k_max)))
-    # one integration by parts restores each truncated tail:
-    # int_K^inf f e^{i phi} = -u1(K) e^{i phi(K)} - int u1' e^{i phi},
-    # u1 = f/(i phi'); the last integral bounds the remainder
-    corr = (-_u1(k_max, alpha, zeta) * np.exp(1j * phase(k_max))
-            + _u1(-k_max, alpha, zeta) * np.exp(1j * phase(-k_max)))
-    remainder = 0.0
-    for kk in (k_max, -k_max):
-        dp = dphase(kk)
-        u1p = (_momentum_amplitude_deriv(np.asarray(kk)) / (1j * dp)
-               + momentum_amplitude(kk) * 2.0 * alpha / (1j * dp * dp))
-        remainder += 3.0 * abs(complex(u1p)) / max(abs(dp), 1e-30)
-    err = res.error_estimate + remainder
-    value = 1j * math.sqrt(2.0) * (complex(res.value) + corr)
-    if not res.converged:
-        raise NumericalConvergenceError(
-            f"oscillatory quadrature did not converge at zeta={zeta}, "
-            f"tau={tau}: achieved {err:.3e}", err)
-    return value, err
-
-
-def _u1(k: float, alpha: float, zeta: float) -> complex:
-    return complex(momentum_amplitude(k)) / (1j * (zeta - 2.0 * alpha * k))
-
-
-def free_wavefunction(zeta, tau: float, s: float,
-                      quad_cfg: QuadratureConfig | None = None,
-                      method: str = "auto"):
+def free_wavefunction(zeta, tau: float, s: float):
     """Amplitude of the semi-infinite release at (zeta, tau).
 
-    methods:
-      auto              exact closed form (erf); the initial profile at tau = 0
-      erf               exact closed form, tau > 0 required
-      quadrature        truncated oscillatory quadrature honoring quad_cfg,
-                        switching to the stationary-phase form for
-                        tau/s > 1e4; raises NumericalConvergenceError when
-                        the tolerance cannot be met
-      stationary-phase  leading-order late-time approximation
-
-    zeta may be scalar or array for the closed-form and stationary-phase
-    paths; the quadrature path is scalar.
+    The initial profile at tau = 0 and the exact erf closed form for
+    tau > 0.  zeta may be a scalar (complex result) or an array (same
+    shape); tau must be finite, since the amplitude decays to zero
+    everywhere as tau grows (``asymptotic_violation`` gives the late-time
+    violation probability).
     """
-    if not tau >= 0:
-        raise ValueError(f"tau must be non-negative, got {tau}")
-    if not s > 0:
-        raise ValueError(f"confinement size s must be positive, got {s}")
-    z = np.asarray(zeta, dtype=float)
-    if np.any(z < 0):
-        raise ValueError("zeta must be non-negative (hard wall at 0)")
-    if method == "auto":
-        method = "erf" if tau > 0 else "initial"
-    if method == "initial" or (method == "erf" and tau == 0.0):
-        out = initial_state(np.atleast_1d(z)).astype(complex)
-    elif method == "erf":
-        out = _psi_erf(np.atleast_1d(z), tau, s)
-    elif method == "stationary-phase":
-        if tau <= 0:
-            raise ValueError("stationary-phase form needs tau > 0")
-        out = _psi_stationary_phase(np.atleast_1d(z), tau, s)
-    elif method == "quadrature":
-        cfg = quad_cfg or QuadratureConfig(abs_tol=1e-8, rel_tol=0.0,
-                                           max_subdivisions=30000)
-        if tau > 0 and tau / s > _STATIONARY_PHASE_RATIO:
-            out = _psi_stationary_phase(np.atleast_1d(z), tau, s)
-        else:
-            if z.ndim != 0:
-                raise ValueError("quadrature path evaluates one point at a time")
-            value, _ = _psi_quadrature(float(z), tau, s, cfg)
-            return value
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    z = _checked_points(zeta, tau, s)
+    flat = np.atleast_1d(z)
+    out = (_psi_erf(flat, tau, s) if tau > 0
+           else initial_state(flat).astype(complex))
     return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
-def free_violation_probability(tau: float, s: float,
-                               quad_cfg: QuadratureConfig | None = None,
-                               full_output: bool = False):
+def stationary_phase_wavefunction(zeta, tau: float, s: float):
+    """Leading-order late-time amplitude of the semi-infinite release.
+
+    Along the ray zeta = y tau a single wavenumber kappa0 = s zeta/tau = s y
+    is stationary, so
+
+        psi ~ i sqrt(2) g(kappa0) sqrt(2 pi s/tau) exp(i s zeta^2/(2 tau) - i pi/4)
+
+    and |psi|^2 ~ 4 pi s g(s y)^2/tau.  The reduced Compton wavelength is
+    the unit of kappa0, which is why the late-time violation probability
+    depends on s alone.  Needs 0 < tau < inf; zeta as in
+    ``free_wavefunction``.
+    """
+    z = _checked_points(zeta, tau, s)
+    if not tau > 0:
+        raise ValueError(f"stationary-phase form needs tau > 0, got {tau}")
+    k0 = s * z / tau
+    amp = momentum_amplitude(k0) * math.sqrt(2.0 * _PI * s / tau)
+    out = 1j * math.sqrt(2.0) * amp * np.exp(1j * (s * z * z / (2.0 * tau) - _PI / 4.0))
+    return complex(out) if z.ndim == 0 else out
+
+
+def free_violation_probability(tau: float, s: float, full_output: bool = False):
     """P(tau) = 1 - int_0^{1+tau} |psi|^2 dzeta for the semi-infinite release.
 
     The density is sampled through the exact closed form and integrated
     adaptively; pre-chunking at the O(1) interference scale keeps the
-    refinement honest over windows thousands of units long.
+    refinement honest over windows thousands of units long.  tau must be
+    finite; the tau -> infinity limit is ``asymptotic_violation(s)``.
     """
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if not s > 0:
-        raise ValueError(f"confinement size s must be positive, got {s}")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau} "
+                         "(the late-time limit is asymptotic_violation(s))")
+    if not 0 < s < math.inf:
+        raise ValueError(f"confinement size s must be positive and finite, got {s}")
     upper = 1.0 + tau
-    if quad_cfg is None:
-        quad_cfg = QuadratureConfig(abs_tol=1e-7, rel_tol=0.0,
-                                    max_subdivisions=30000)
     n_chunks = int(min(4000, max(8, 2.0 * upper)))
     cuts = np.linspace(0.0, upper, n_chunks + 1)[1:-1]
-    cfg = QuadratureConfig(abs_tol=quad_cfg.abs_tol, rel_tol=quad_cfg.rel_tol,
-                           max_subdivisions=quad_cfg.max_subdivisions,
-                           breakpoints=tuple(cuts))
+    cfg = replace(_FREE_VIOLATION_QUAD, breakpoints=tuple(cuts))
     res = integrate(lambda z: np.abs(_psi_erf(z, tau, s)) ** 2, 0.0, upper, cfg)
     if not res.converged:
         raise NumericalConvergenceError(
@@ -315,8 +224,8 @@ def asymptotic_violation(s: float) -> float:
     Decreases monotonically from 1 at s = 0 toward 0, crossing 1% a bit
     above s = 6.
     """
-    if s < 0:
-        raise ValueError(f"confinement size must be non-negative, got {s}")
+    if not 0 <= s < math.inf:
+        raise ValueError(f"confinement size must be non-negative and finite, got {s}")
     if s == 0.0:
         return 1.0
     cuts = tuple(k * _PI for k in range(1, int(s / _PI) + 1))
@@ -348,8 +257,8 @@ def asymptotic_violation_closed(arg: float, convention: str = "as-printed") -> f
       rescaled    treat arg as a reduced-unit size: evaluate at arg/(2 pi),
                   matching ``asymptotic_violation(arg)``
     """
-    if not arg > 0:
-        raise ValueError(f"argument must be positive, got {arg}")
+    if not 0 < arg < math.inf:
+        raise ValueError(f"argument must be positive and finite, got {arg}")
     if convention == "rescaled":
         sigma = arg / (2.0 * _PI)
     elif convention == "as-printed":
@@ -369,8 +278,8 @@ def asymptotic_violation_closed(arg: float, convention: str = "as-printed") -> f
 
 def asymptotic_series(arg: float) -> float:
     """Small-argument cubic law 1 - (4/3)(2 arg)^3 of the closed form."""
-    if arg < 0:
-        raise ValueError(f"argument must be non-negative, got {arg}")
+    if not 0 <= arg < math.inf:
+        raise ValueError(f"argument must be non-negative and finite, got {arg}")
     return 1.0 - (4.0 / 3.0) * (2.0 * arg) ** 3
 
 

@@ -37,7 +37,7 @@ Two evaluation routes are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,6 +55,8 @@ __all__ = [
 ]
 
 _PI = math.pi
+_QUADRATURE_ROUTE = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9,
+                                     max_subdivisions=20000)
 
 
 class ProbabilityRangeError(RuntimeError):
@@ -109,17 +111,12 @@ def _pairwise_value(spectrum: ModeSpectrum, s: float, tau: float,
 
 
 def _quadrature_value(spectrum: ModeSpectrum, s: float, tau: float,
-                      front: float, quad_cfg: QuadratureConfig | None):
+                      front: float):
     lam = spectrum.lambda_factor
-    if quad_cfg is None:
-        quad_cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9,
-                                    max_subdivisions=20000)
     # seed panels at the finest retained oscillation scale Lambda/N
     n_panels = int(math.ceil((lam - front) * spectrum.max_mode / lam)) + 1
     cuts = np.linspace(front, lam, n_panels + 1)[1:-1]
-    cfg = QuadratureConfig(abs_tol=quad_cfg.abs_tol, rel_tol=quad_cfg.rel_tol,
-                           max_subdivisions=quad_cfg.max_subdivisions,
-                           breakpoints=tuple(cuts))
+    cfg = replace(_QUADRATURE_ROUTE, breakpoints=tuple(cuts))
     res = integrate(
         lambda z: np.abs(wavefunction(spectrum, s, z, tau)) ** 2,
         front, lam, cfg)
@@ -132,7 +129,6 @@ def _quadrature_value(spectrum: ModeSpectrum, s: float, tau: float,
 
 def violation_probability(spectrum: ModeSpectrum, params: SystemParams,
                           tau: float, method: str = "pairwise",
-                          quad_cfg: QuadratureConfig | None = None,
                           full_output: bool = False):
     """Probability weight beyond the light front at time tau.
 
@@ -150,7 +146,7 @@ def violation_probability(spectrum: ModeSpectrum, params: SystemParams,
         value = _pairwise_value(spectrum, params.s, tau, front)
         err = 2.0 * math.sqrt(spectrum.tail_bound) + 1e-12
     elif method == "quadrature":
-        value, qerr = _quadrature_value(spectrum, params.s, tau, front, quad_cfg)
+        value, qerr = _quadrature_value(spectrum, params.s, tau, front)
         err = qerr + 2.0 * math.sqrt(spectrum.tail_bound)
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -163,13 +159,11 @@ def violation_probability(spectrum: ModeSpectrum, params: SystemParams,
 
 
 def violation_curve(spectrum: ModeSpectrum, params: SystemParams,
-                    tau_grid, method: str = "pairwise",
-                    quad_cfg: QuadratureConfig | None = None) -> ViolationCurve:
-    """Evaluate P on an increasing time grid.
+                    tau_grid) -> ViolationCurve:
+    """Evaluate P by the pairwise route on an increasing time grid.
 
     Points are independent, so the result does not depend on evaluation
-    order; failures of the quadrature route propagate with the offending
-    tau attached.
+    order.
     """
     grid = np.asarray(tau_grid, dtype=float)
     if grid.size == 0:
@@ -181,18 +175,12 @@ def violation_curve(spectrum: ModeSpectrum, params: SystemParams,
     values = np.empty(grid.shape)
     errors = np.empty(grid.shape)
     for i, tau in enumerate(grid):
-        try:
-            values[i], errors[i] = violation_probability(
-                spectrum, params, float(tau), method=method,
-                quad_cfg=quad_cfg, full_output=True)
-        except NumericalConvergenceError as exc:
-            raise NumericalConvergenceError(
-                f"curve evaluation failed at tau={tau}: {exc}",
-                exc.error_estimate) from exc
+        values[i], errors[i] = violation_probability(
+            spectrum, params, float(tau), full_output=True)
     return ViolationCurve(
         tau_grid=grid, values=values, error_estimates=errors, params=params,
         tolerances={
-            "method": method,
+            "method": "pairwise",
             "spectrum_tail_bound": spectrum.tail_bound,
             "max_error_estimate": float(errors.max()),
         })

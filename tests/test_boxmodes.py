@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,7 +17,8 @@ from causalbox import (
     time_scales,
     wavefunction,
 )
-from causalbox.boxmodes import profile_lattice
+from causalbox.boxmodes import (_tail_amplitude_bound, _tail_weight_bound,
+                                profile_lattice)
 from causalbox.cli import _zeta_grid
 
 PI = math.pi
@@ -95,6 +97,38 @@ class TestBuildSpectrum:
     def test_accepts_params_object(self, params_s02):
         spec = build_spectrum(params_s02)
         assert spec.lambda_factor == 5.0
+
+    def test_default_truncation(self):
+        for lam, n_max in ((2.0, 18007), (5.0, 45016), (20.0, 180064)):
+            assert build_spectrum(lam).max_mode == n_max
+
+    def test_tight_tolerance_keeps_a_positive_tail_bound(self):
+        # the weight bound used to cancel to -2.0e-18 at N = 1 792 112
+        spec = build_spectrum(5.0, tol=1e-14)
+        assert 0.0 < spec.tail_bound <= 1e-14
+        assert _tail_weight_bound(1e6, 5.0) == pytest.approx(
+            1.688686394e-17, rel=1e-9)
+
+
+@pytest.mark.parametrize("lam", [2.0, 5.0, 20.0])
+def test_tail_bounds_against_mpmath(lam):
+    # (2/pi^2)(x/(1-x^2) - atanh x) and (2 sqrt 2/pi) atanh x, x = Lambda/N
+    n_lo = math.ceil(lam) + 1
+    ns = sorted({n_lo, n_lo + 1, n_lo + 7, *np.unique(
+        np.round(np.geomspace(n_lo + 2, 1e8, 120)).astype(int)).tolist()})
+    weights, amplitudes = [], []
+    with mpmath.workdps(40):
+        for n in ns:
+            x = mpmath.mpf(lam) / n
+            w = 2 / mpmath.pi**2 * (x / (1 - x**2) - mpmath.atanh(x))
+            a = 2 * mpmath.sqrt(2) / mpmath.pi * mpmath.atanh(x)
+            weights.append(_tail_weight_bound(n, lam))
+            amplitudes.append(_tail_amplitude_bound(n, lam))
+            assert abs(weights[-1] - w) <= 1e-12 * w, n
+            assert abs(amplitudes[-1] - a) <= 1e-12 * a, n
+    for values in (weights, amplitudes):
+        assert all(v > 0 for v in values)
+        assert all(a > b for a, b in zip(values, values[1:]))
 
 
 class TestWavefunction:

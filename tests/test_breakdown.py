@@ -121,3 +121,8 @@ class TestGaussianSpread:
             gaussian_width(0.0, 1.0)
         with pytest.raises(ValueError):
             gaussian_width(0.5, -1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                gaussian_width(0.5, bad)
+            with pytest.raises(ValueError, match="finite"):
+                gaussian_width(bad, 1.0)

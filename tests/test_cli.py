@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import causalbox.freespace
 import causalbox.lightcone
 import causalbox.special
-from causalbox import build_spectrum
+from causalbox import QuadratureResult, build_spectrum
 from causalbox.cli import main
 
 PI = math.pi
@@ -218,6 +219,30 @@ class TestAsymptotic:
         rc = main(["asymptotic", "--s-min", "5", "--s-max", "1",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
+
+    def test_infinite_tau_large_rejected(self, tmp_path, capsys):
+        # used to integrate over [0, inf] and never return
+        rc = main(["asymptotic", "--s-min", "0.3", "--s-max", "1",
+                   "--tau-large", "inf", "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid arguments:") and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_unconverged_quadrature_is_a_numerical_failure(
+            self, tmp_path, capsys, monkeypatch):
+        def stalled(f, a, b, cfg):
+            return QuadratureResult(value=0.5, error_estimate=3e-3,
+                                    subdivisions_used=cfg.max_subdivisions,
+                                    converged=False)
+
+        monkeypatch.setattr(causalbox.freespace, "integrate", stalled)
+        rc = main(["asymptotic", "--s-min", "0.3", "--s-max", "1",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestBreakdownCommand:

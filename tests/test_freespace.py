@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,12 +16,37 @@ from causalbox import (
     free_wavefunction,
     integrate,
     momentum_amplitude,
-    stationary_wavenumber,
+    stationary_phase_wavefunction,
 )
+from causalbox import freespace
 from causalbox.freespace import _asym_integrand
-from causalbox.quadrature import NumericalConvergenceError, QuadratureConfig
+from causalbox.quadrature import (NumericalConvergenceError, QuadratureConfig,
+                                  QuadratureResult)
 
 PI = math.pi
+
+
+def propagator_oracle(zeta, tau, s):
+    """psi(zeta, tau) from the image propagator, in 30-digit arithmetic.
+
+    psi = sqrt(s/(2 pi i tau)) int_0^1 [e^{i s (zeta-y)^2/(2 tau)}
+          - e^{i s (zeta+y)^2/(2 tau)}] sqrt(2) sin(pi y) dy
+
+    Position space, so it shares nothing with the momentum-space erf form;
+    the interval is split into equal panels, one per half-wave of the
+    faster exponential plus two.
+    """
+    with mpmath.workdps(30):
+        z, t, s = mpmath.mpf(zeta), mpmath.mpf(tau), mpmath.mpf(s)
+
+        def kernel(y):
+            return ((mpmath.expj(s * (z - y) ** 2 / (2 * t))
+                     - mpmath.expj(s * (z + y) ** 2 / (2 * t)))
+                    * mpmath.sqrt(2) * mpmath.sin(mpmath.pi * y))
+
+        panels = int(mpmath.ceil(s * (z + 1) / (mpmath.pi * t))) + 2
+        value = mpmath.quad(kernel, mpmath.linspace(0, 1, panels + 1))
+        return complex(mpmath.sqrt(s / (2 * mpmath.pi * 1j * t)) * value)
 
 
 class TestMomentumAmplitude:
@@ -59,43 +85,37 @@ class TestFreeWavefunction:
             free_wavefunction(-0.5, 0.1, 1.0)
         with pytest.raises(ValueError):
             free_wavefunction(0.5, -0.1, 1.0)
-        for method in ("auto", "erf", "quadrature", "stationary-phase"):
-            with pytest.raises(ValueError, match="tau must be non-negative"):
-                free_wavefunction(0.5, math.nan, 1.0, method=method)
+        with pytest.raises(ValueError, match="tau must be non-negative"):
+            free_wavefunction(0.5, math.nan, 1.0)
         with pytest.raises(ValueError):
             free_wavefunction(0.5, 0.1, -1.0)
-        with pytest.raises(ValueError):
-            free_wavefunction(0.5, 0.1, 1.0, method="nonsense")
 
-    def test_quadrature_route_matches_closed_form(self):
+    @pytest.mark.parametrize("zeta,tau,s", [
+        (0.5, math.inf, 1.0), (0.5, 0.1, math.inf), (0.5, 0.1, math.nan),
+        (math.nan, 0.1, 1.0), (np.array([0.5, math.inf]), 0.1, 1.0)])
+    def test_non_finite_input_rejected(self, zeta, tau, s):
+        # an infinite time used to return nan+nanj from the erf form
+        with pytest.raises(ValueError, match="finite"):
+            free_wavefunction(zeta, tau, s)
+        with pytest.raises(ValueError, match="finite"):
+            stationary_phase_wavefunction(zeta, tau, s)
+
+    def test_closed_form_matches_propagator_oracle(self):
+        # measured worst case 1.7e-13, at (800, 900, 1)
         cases = [(0.5, 0.3, 1.0), (2.0, 1.0, 2.0), (0.2, 2.0, 0.1),
-                 (5.0, 3.0, 1.0), (0.9, 0.05, 4.0)]
+                 (5.0, 3.0, 1.0), (0.9, 0.05, 4.0), (1.5, 0.8, 1.0),
+                 (30.0, 40.0, 2.0), (1e-3, 0.5, 1.0), (800.0, 900.0, 1.0)]
         for zeta, tau, s in cases:
-            exact = free_wavefunction(zeta, tau, s)
-            quad = free_wavefunction(zeta, tau, s, method="quadrature")
-            assert abs(quad - exact) < 5e-6, (zeta, tau, s)
+            got = free_wavefunction(zeta, tau, s)
+            assert abs(got - propagator_oracle(zeta, tau, s)) <= 1e-12, \
+                (zeta, tau, s)
 
-    def test_quadrature_route_at_release(self):
-        got = free_wavefunction(0.5, 0.0, 1.0, method="quadrature")
-        assert abs(got - math.sqrt(2.0)) < 5e-5
-
-    def test_quadrature_budget_failure(self):
-        cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=0.0, max_subdivisions=3)
-        with pytest.raises(NumericalConvergenceError) as err:
-            free_wavefunction(1.5, 0.8, 1.0, quad_cfg=cfg, method="quadrature")
-        assert err.value.error_estimate > 0
-
-    def test_stationary_phase_switch_and_accuracy(self):
-        # past the ratio threshold the quadrature route delegates
-        sp = free_wavefunction(2e4, 2e4, 1.5, method="stationary-phase")
-        quad = free_wavefunction(2e4, 2e4, 1.5, method="quadrature")
-        assert quad == sp
-        # and the leading-order form tracks the exact density at late times
-        zeta, tau, s = 800.0, 900.0, 1.0
-        exact = abs(free_wavefunction(zeta, tau, s)) ** 2
-        approx = abs(free_wavefunction(zeta, tau, s,
-                                       method="stationary-phase")) ** 2
-        assert approx == pytest.approx(exact, rel=0.05)
+    def test_array_input_keeps_shape(self):
+        z = np.array([[0.0, 0.5], [1.5, 3.0]])
+        got = free_wavefunction(z, 0.4, 1.0)
+        assert got.shape == z.shape
+        assert got[1, 0] == free_wavefunction(1.5, 0.4, 1.0)
+        assert np.all(free_wavefunction(z, 0.0, 1.0).imag == 0.0)
 
     def test_unitarity_wide_domain(self):
         tau, s = 5.0, 1.0
@@ -112,12 +132,29 @@ class TestFreeWavefunction:
         assert res.value == pytest.approx(1.0, abs=1e-4)
 
 
-def test_stationary_wavenumber():
-    assert stationary_wavenumber(1.0, 0.7) == pytest.approx(0.7, rel=1e-15)
-    assert stationary_wavenumber(0.0, 0.7) == 0.0
-    assert stationary_wavenumber(2.0, 0.5) == 1.0
-    with pytest.raises(ValueError):
-        stationary_wavenumber(-1.0, 0.5)
+class TestStationaryPhase:
+    def test_tracks_exact_density_at_late_times(self):
+        zeta, tau, s = 800.0, 900.0, 1.0
+        exact = abs(free_wavefunction(zeta, tau, s)) ** 2
+        approx = abs(stationary_phase_wavefunction(zeta, tau, s)) ** 2
+        assert approx == pytest.approx(exact, rel=0.05)
+
+    def test_ray_density_is_set_by_kappa0(self):
+        # |psi|^2 = 4 pi s g(kappa0)^2 / tau with kappa0 = s zeta / tau
+        tau, s = 50.0, 0.7
+        zeta = np.array([0.0, 10.0, 50.0, 120.0])
+        rho = np.abs(stationary_phase_wavefunction(zeta, tau, s)) ** 2
+        want = 4.0 * PI * s * momentum_amplitude(s * zeta / tau) ** 2 / tau
+        assert np.allclose(rho, want, rtol=1e-14, atol=0.0)
+        assert isinstance(stationary_phase_wavefunction(50.0, tau, s), complex)
+
+    def test_domain(self):
+        with pytest.raises(ValueError, match="tau > 0"):
+            stationary_phase_wavefunction(0.5, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            stationary_phase_wavefunction(-0.5, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            stationary_phase_wavefunction(0.5, 1.0, 0.0)
 
 
 class TestFreeViolation:
@@ -140,10 +177,33 @@ class TestFreeViolation:
         with pytest.raises(ValueError):
             free_violation_probability(1.0, -1.0)
 
+    @pytest.mark.parametrize("tau,s", [(math.inf, 1.0), (math.nan, 1.0),
+                                       (1.0, math.inf), (1.0, math.nan)])
+    def test_non_finite_input_rejected(self, tau, s):
+        # an infinite tau used to integrate over [0, inf] without returning
+        with pytest.raises(ValueError, match="finite"):
+            free_violation_probability(tau, s)
+
+    def test_unconverged_quadrature_raises(self, monkeypatch):
+        def stalled(f, a, b, cfg):
+            return QuadratureResult(value=0.5, error_estimate=3e-3,
+                                    subdivisions_used=cfg.max_subdivisions,
+                                    converged=False)
+
+        monkeypatch.setattr(freespace, "integrate", stalled)
+        with pytest.raises(NumericalConvergenceError) as err:
+            free_violation_probability(2.0, 1.0)
+        assert err.value.error_estimate > 0
+
 
 class TestAsymptoticIntegral:
     def test_empty_integral(self):
         assert asymptotic_violation(0.0) == 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_domain(self, bad):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            asymptotic_violation(bad)
 
     def test_integrand_regular_at_pi(self):
         assert _asym_integrand(np.array([PI]))[0] == pytest.approx(
@@ -204,6 +264,9 @@ class TestClosedForm:
             asymptotic_violation_closed(0.0)
         with pytest.raises(ValueError):
             asymptotic_violation_closed(1.0, convention="bogus")
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                asymptotic_violation_closed(bad)
 
 
 class TestSeries:
@@ -213,6 +276,9 @@ class TestSeries:
                                                         rel=1e-14)
         with pytest.raises(ValueError):
             asymptotic_series(-0.1)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="non-negative and finite"):
+                asymptotic_series(bad)
 
     def test_cubic_coefficient_fit(self):
         # least-squares c in 1 - c*arg^3 against the integral route
