@@ -11,12 +11,14 @@ Numeric CSV fields are printed with 17 significant digits (round-trip exact
 for doubles), comma separated, one header row, one trailing newline.  Each
 output file gets a JSON manifest sidecar recording the command, the full
 parameter set, the library version, the adjudicated convention where it
-applies, and the wall-clock duration.  Identical invocations produce
-bit-identical CSV bytes, whatever --threads says; worker threads only
-partition the grid, they never change the arithmetic.
+applies, the wall-clock duration and ``stages``, the seconds per stage,
+which add up to the duration.  Identical invocations produce bit-identical
+CSV bytes, whatever --threads says; worker threads only partition the grid,
+they never change the arithmetic.
 
-Exit codes: 0 success, 1 validation/numerical failure, 2 adjudication
-failure, 3 I/O error.
+Exit codes: 0 success, 1 invalid arguments (usage errors included) or
+validation/numerical failure, 2 adjudication failure, 3 I/O error.  Each
+failure prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -28,16 +30,17 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .boxmodes import (build_spectrum, density_norm, density_snapshot,
-                       parseval_partial_sum, profile_lattice, wavefunction)
+                       initial_state, parseval_partial_sum, profile_lattice,
+                       wavefunction)
 from .breakdown import (CONFINEMENT_THRESHOLD, breakdown_interval,
                         breakdown_report)
-from .freespace import (AdjudicationError, ConventionRecord,
+from .freespace import (TAU_LARGE_MIN, AdjudicationError, ConventionRecord,
                         adjudicate_convention, asymptotic_result,
                         asymptotic_violation, asymptotic_violation_closed)
 from .lightcone import (ProbabilityRangeError, default_sweep_grid,
@@ -52,38 +55,42 @@ __all__ = ["main"]
 _PI = math.pi
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record written beside every output file.
+class _Clock:
+    """Lap timer: each lap closes one named stage, so the stages tile the run."""
 
-    ``stages`` maps stage names to wall seconds; where present they add up
-    to ``duration_s``.
-    """
+    def __init__(self):
+        self.stages: dict[str, float] = {}
+        self._last = time.perf_counter()
 
-    command: str
-    parameters: dict
-    version: str = __version__
-    convention: str | None = None
-    duration_s: float = 0.0
-    stages: dict = field(default_factory=dict)
-    outputs: list = field(default_factory=list)
-
-    def write(self, csv_path: str) -> None:
-        path = csv_path + ".manifest.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.stages[stage] = now - self._last
+        self._last = now
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+def _write_json(path: str, record: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_outputs(args, clock: _Clock, header: str, rows, parameters: dict,
+                   convention: str | None = None) -> None:
+    """Write the CSV, close the ``write`` stage, then write the manifest."""
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
+    clock.lap("write")
+    _write_json(args.out + ".manifest.json", {
+        "command": args.command, "parameters": parameters,
+        "version": __version__, "convention": convention,
+        "duration_s": sum(clock.stages.values()), "stages": clock.stages,
+        "outputs": [args.out]})
 
 
 def _chunked_map(fn, items, threads: int):
@@ -99,11 +106,20 @@ def _chunked_map(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
+def _box_parameters(args, spectrum) -> dict:
+    """Manifest fields shared by the box commands: inputs and truncation."""
+    return {"s": args.s, "lambda": args.lambda_factor, "tol": args.tol,
+            "threads": args.threads,
+            "spectrum_max_mode": spectrum.max_mode,
+            "spectrum_tail_bound": spectrum.tail_bound,
+            "spectrum_amplitude_tail_bound": spectrum.amplitude_tail_bound}
+
+
 def cmd_violation_sweep(args) -> int:
     params = SystemParams(s=args.s, lambda_factor=args.lambda_factor)
-    t0 = time.perf_counter()
+    clock = _Clock()
     spectrum = build_spectrum(params, tol=args.tol)
-    t1 = time.perf_counter()
+    clock.lap("spectrum")
     grid = default_sweep_grid(params, tau_step=args.tau_step)
 
     def one(tau: float):
@@ -111,30 +127,13 @@ def cmd_violation_sweep(args) -> int:
                                      full_output=True)
 
     results = _chunked_map(one, grid, args.threads)
-    t2 = time.perf_counter()
-    rows = []
-    for tau, (p, err) in zip(grid, results):
-        if args.clamp:
-            p = min(max(p, 0.0), 1.0)
-        rows.append((_fmt(tau), _fmt(p), _fmt(err)))
-    _write_csv(args.out, "tau,p_violation,error_estimate", rows)
-    t3 = time.perf_counter()
-    manifest = RunManifest(
-        command="violation-sweep",
-        parameters={"s": args.s, "lambda": args.lambda_factor,
-                    "tau_step": args.tau_step, "tol": args.tol,
-                    "threads": args.threads, "clamp": bool(args.clamp),
-                    "grid_points": int(len(grid)),
-                    "spectrum_max_mode": spectrum.max_mode,
-                    "spectrum_tail_bound": spectrum.tail_bound,
-                    "spectrum_amplitude_tail_bound":
-                        spectrum.amplitude_tail_bound,
-                    "fft_size": spectrum.fft_size},
-        duration_s=t3 - t0,
-        stages={"spectrum": t1 - t0, "evaluate": t2 - t1, "write": t3 - t2},
-        outputs=[args.out],
-    )
-    manifest.write(args.out)
+    clock.lap("evaluate")
+    rows = ((_fmt(tau), _fmt(p), _fmt(err))
+            for tau, (p, err) in zip(grid, results))
+    _write_outputs(args, clock, "tau,p_violation,error_estimate", rows,
+                   {**_box_parameters(args, spectrum),
+                    "tau_step": args.tau_step, "grid_points": int(len(grid)),
+                    "fft_size": spectrum.fft_size})
     return 0
 
 
@@ -152,9 +151,9 @@ def _zeta_grid(lam: float, step: float) -> np.ndarray:
 
 def cmd_snapshot(args) -> int:
     params = SystemParams(s=args.s, lambda_factor=args.lambda_factor)
-    t0 = time.perf_counter()
+    clock = _Clock()
     spectrum = build_spectrum(params, tol=args.tol)
-    t1 = time.perf_counter()
+    clock.lap("spectrum")
     scales = time_scales(params)
     if args.tau_list:
         taus = [float(t) for t in args.tau_list.split(",")]
@@ -168,27 +167,13 @@ def cmd_snapshot(args) -> int:
         return density_snapshot(spectrum, params.s, zgrid, tau)
 
     curves = _chunked_map(one, taus, args.threads)
-    t2 = time.perf_counter()
-    rows = []
-    for curve in curves:
-        for z, r in zip(curve.zeta, curve.rho):
-            rows.append((_fmt(curve.tau), _fmt(z), _fmt(r)))
-    _write_csv(args.out, "tau,zeta,rho", rows)
-    t3 = time.perf_counter()
-    RunManifest(
-        command="snapshot",
-        parameters={"s": args.s, "lambda": args.lambda_factor,
-                    "tau_list": taus, "zeta_step": args.zeta_step,
-                    "tol": args.tol, "threads": args.threads,
-                    "spectrum_max_mode": spectrum.max_mode,
-                    "spectrum_tail_bound": spectrum.tail_bound,
-                    "spectrum_amplitude_tail_bound":
-                        spectrum.amplitude_tail_bound,
-                    "profile_lattice": profile_lattice(spectrum, zgrid)},
-        duration_s=t3 - t0,
-        stages={"spectrum": t1 - t0, "evaluate": t2 - t1, "write": t3 - t2},
-        outputs=[args.out],
-    ).write(args.out)
+    clock.lap("evaluate")
+    rows = ((_fmt(curve.tau), _fmt(z), _fmt(r))
+            for curve in curves for z, r in zip(curve.zeta, curve.rho))
+    _write_outputs(args, clock, "tau,zeta,rho", rows,
+                   {**_box_parameters(args, spectrum), "tau_list": taus,
+                    "zeta_step": args.zeta_step,
+                    "profile_lattice": profile_lattice(spectrum, zgrid)})
     return 0
 
 
@@ -203,12 +188,11 @@ def cmd_asymptotic(args) -> int:
         raise ValueError("require 0 < s-min < s-max")
     if args.n_points < 2:
         raise ValueError("need at least two grid points")
-    t0 = time.perf_counter()
+    clock = _Clock()
     if args.convention == "auto":
         record = adjudicate_convention(tau_large=args.tau_large)
-        with open(args.out + ".convention.json", "w", encoding="utf-8") as fh:
-            json.dump(asdict(record), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out + ".convention.json", asdict(record))
+        clock.lap("adjudicate")
     else:
         record = _forced_record(args.convention)
     sgrid = np.geomspace(args.s_min, args.s_max, args.n_points)
@@ -217,19 +201,16 @@ def cmd_asymptotic(args) -> int:
         return asymptotic_result(float(s), record)
 
     results = _chunked_map(one, sgrid, args.threads)
-    rows = [(_fmt(r.s), _fmt(r.p_quadrature), _fmt(r.p_closed),
-             _fmt(r.p_series), record.convention) for r in results]
-    _write_csv(args.out, "s,p_quadrature,p_closed,p_series,convention", rows)
-    RunManifest(
-        command="asymptotic",
-        parameters={"s_min": args.s_min, "s_max": args.s_max,
+    clock.lap("evaluate")
+    rows = ((_fmt(r.s), _fmt(r.p_quadrature), _fmt(r.p_closed),
+             _fmt(r.p_series), record.convention) for r in results)
+    _write_outputs(args, clock, "s,p_quadrature,p_closed,p_series,convention",
+                   rows,
+                   {"s_min": args.s_min, "s_max": args.s_max,
                     "n_points": args.n_points, "threads": args.threads,
                     "tau_large": args.tau_large,
                     "requested_convention": args.convention},
-        convention=record.convention,
-        duration_s=time.perf_counter() - t0,
-        outputs=[args.out],
-    ).write(args.out)
+                   convention=record.convention)
     return 0
 
 
@@ -285,10 +266,8 @@ def _validation_checks(tau_large: float):
     yield ("box_periodicity", float(d.max()) <= 1e-10,
            f"max pointwise diff {d.max():.2e}")
 
-    mirrored = np.sqrt(2.0) * np.sin(_PI * np.clip(5.0 - zg, 0.0, 1.0)) \
-        * ((5.0 - zg > 0) & (5.0 - zg < 1))
     d = np.abs(np.abs(wavefunction(spec, params.s, zg, scales.tau_specular))
-               - np.abs(mirrored))
+               - np.abs(initial_state(5.0 - zg)))
     yield ("specular_revival", float(d.max()) <= 1e-4,
            f"sup modulus diff {d.max():.2e}")
 
@@ -340,6 +319,9 @@ def _validation_checks(tau_large: float):
 
 
 def cmd_validate(args) -> int:
+    if args.tau_large < TAU_LARGE_MIN:
+        raise ValueError(f"--tau-large must be at least {TAU_LARGE_MIN:g}, "
+                         f"got {args.tau_large:g}")
     failures = 0
     try:
         for name, ok, detail in _validation_checks(args.tau_large):
@@ -352,67 +334,81 @@ def cmd_validate(args) -> int:
     return 0 if failures == 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, so they exit like any other bad input."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _finite(text: str) -> float:
+    """Float option value; NaN and +-inf are rejected."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="causalbox",
         description="causality-violation analysis of the sudden expansion")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sweep = sub.add_parser("violation-sweep",
+    box = _Parser(add_help=False)
+    box.add_argument("--s", type=_finite, required=True,
+                     help="confinement size in reduced Compton wavelengths")
+    box.add_argument("--lambda", dest="lambda_factor", type=_finite,
+                     required=True, help="expansion factor (> 1)")
+    box.add_argument("--tol", type=_finite, default=1e-10,
+                     help="spectrum truncation tolerance")
+    box.add_argument("--out", required=True)
+    box.add_argument("--threads", type=int, default=1)
+
+    sweep = sub.add_parser("violation-sweep", parents=[box],
                            help="P(tau) over the violation window as CSV")
-    sweep.add_argument("--s", type=float, required=True,
-                       help="confinement size in reduced Compton wavelengths")
-    sweep.add_argument("--lambda", dest="lambda_factor", type=float,
-                       required=True, help="expansion factor (> 1)")
-    sweep.add_argument("--tau-step", type=float, default=0.005)
-    sweep.add_argument("--tol", type=float, default=1e-10,
-                       help="spectrum truncation tolerance")
-    sweep.add_argument("--out", required=True)
-    sweep.add_argument("--threads", type=int, default=1)
-    sweep.add_argument("--clamp", action="store_true",
-                       help="clamp displayed values into [0, 1] (flagged in manifest)")
+    sweep.add_argument("--tau-step", type=_finite, default=0.005)
     sweep.set_defaults(func=cmd_violation_sweep)
 
-    snap = sub.add_parser("snapshot", help="density profiles as CSV")
-    snap.add_argument("--s", type=float, required=True)
-    snap.add_argument("--lambda", dest="lambda_factor", type=float,
-                      required=True)
+    snap = sub.add_parser("snapshot", parents=[box],
+                          help="density profiles as CSV")
     snap.add_argument("--tau-list", default="",
                       help="comma-separated times; default: revival fractions")
-    snap.add_argument("--zeta-step", type=float, default=0.002)
-    snap.add_argument("--tol", type=float, default=1e-10)
-    snap.add_argument("--out", required=True)
-    snap.add_argument("--threads", type=int, default=1)
+    snap.add_argument("--zeta-step", type=_finite, default=0.002)
     snap.set_defaults(func=cmd_snapshot)
 
     asym = sub.add_parser("asymptotic",
                           help="late-time violation probability as CSV")
-    asym.add_argument("--s-min", type=float, required=True)
-    asym.add_argument("--s-max", type=float, required=True)
+    asym.add_argument("--s-min", type=_finite, required=True)
+    asym.add_argument("--s-max", type=_finite, required=True)
     asym.add_argument("--n-points", type=int, default=60)
     asym.add_argument("--convention", choices=("auto", "reduced", "nonreduced"),
                       default="auto")
-    asym.add_argument("--tau-large", type=float, default=1000.0)
+    asym.add_argument("--tau-large", type=_finite, default=1000.0)
     asym.add_argument("--out", required=True)
     asym.add_argument("--threads", type=int, default=1)
     asym.set_defaults(func=cmd_asymptotic)
 
     brk = sub.add_parser("breakdown", help="total-breakdown verdict")
-    brk.add_argument("--s", type=float, required=True)
-    brk.add_argument("--lambda", dest="lambda_factor", type=float,
+    brk.add_argument("--s", type=_finite, required=True)
+    brk.add_argument("--lambda", dest="lambda_factor", type=_finite,
                      required=True)
     brk.set_defaults(func=cmd_breakdown)
 
     val = sub.add_parser("validate",
                          help="invariant battery and adjudication oracle")
-    val.add_argument("--tau-large", type=float, default=1000.0)
+    val.add_argument("--tau-large", type=_finite, default=1000.0)
     val.set_defaults(func=cmd_validate)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if getattr(args, "threads", 1) < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)

@@ -75,9 +75,15 @@ __all__ = [
     "adjudicate_convention",
     "default_convention_record",
     "asymptotic_result",
+    "TAU_LARGE_MIN",
 ]
 
 _PI = math.pi
+# Adjudication needs at least this long an evolution to separate the
+# candidate conventions.
+TAU_LARGE_MIN = 100.0
+# Cap on the oscillation-scale breakpoints of the free-space quadratures.
+_MAX_CUTS = 4000
 _FREE_VIOLATION_QUAD = QuadratureConfig(abs_tol=1e-7, rel_tol=0.0,
                                         max_subdivisions=30000)
 
@@ -194,7 +200,7 @@ def free_violation_probability(tau: float, s: float, full_output: bool = False):
     if not 0 < s < math.inf:
         raise ValueError(f"confinement size s must be positive and finite, got {s}")
     upper = 1.0 + tau
-    n_chunks = int(min(4000, max(8, 2.0 * upper)))
+    n_chunks = int(min(_MAX_CUTS, max(8, 2.0 * upper)))
     cuts = np.linspace(0.0, upper, n_chunks + 1)[1:-1]
     cfg = replace(_FREE_VIOLATION_QUAD, breakpoints=tuple(cuts))
     res = integrate(lambda z: np.abs(_psi_erf(z, tau, s)) ** 2, 0.0, upper, cfg)
@@ -228,17 +234,24 @@ def asymptotic_violation(s: float) -> float:
         raise ValueError(f"confinement size must be non-negative and finite, got {s}")
     if s == 0.0:
         return 1.0
-    cuts = tuple(k * _PI for k in range(1, int(s / _PI) + 1))
+    # a breakpoint at each zero of sin up to _MAX_CUTS pi; P there is
+    # 1.1e-12, which bounds what the one panel beyond it can miss
+    n_cuts = min(int(s / _PI), _MAX_CUTS)
+    cuts = tuple(k * _PI for k in range(1, n_cuts + 1))
     res = integrate(_asym_integrand, 0.0, float(s),
                     QuadratureConfig(abs_tol=1e-10, rel_tol=1e-12,
                                      max_subdivisions=20000, breakpoints=cuts))
+    if not res.converged:
+        raise NumericalConvergenceError(
+            f"asymptotic violation quadrature did not converge at s={s}: "
+            f"achieved {res.error_estimate:.3e}", res.error_estimate)
     return 1.0 - 4.0 * _PI * float(res.value)
 
 
-def asymptotic_violation_closed(arg: float, convention: str = "as-printed") -> float:
+def asymptotic_violation_closed(sigma: float) -> float:
     """Tabulated-function form of the asymptotic violation probability.
 
-    Evaluated verbatim at sigma = arg:
+    Evaluated verbatim at sigma:
 
         1 - (1/pi)[Si(4 pi sigma - 2 pi) + Si(4 pi sigma + 2 pi)]
           + (4 sigma/pi^2) sin^2(2 pi sigma)/(4 sigma^2 - 1)
@@ -250,21 +263,11 @@ def asymptotic_violation_closed(arg: float, convention: str = "as-printed") -> f
     wavelengths).  The middle term's 0/0 at sigma = 1/2 resolves to 0 and
     is evaluated through an exact sinc rewrite; the Ci-minus-log brackets
     are finite through sigma = 1/2 and are computed via the entire function
-    Cin, never by subtracting singular pieces.
-
-    convention:
-      as-printed  evaluate at arg directly
-      rescaled    treat arg as a reduced-unit size: evaluate at arg/(2 pi),
-                  matching ``asymptotic_violation(arg)``
+    Cin, never by subtracting singular pieces.  A reduced-unit size s maps
+    to sigma through ``ConventionRecord.closed_form_argument``.
     """
-    if not 0 < arg < math.inf:
-        raise ValueError(f"argument must be positive and finite, got {arg}")
-    if convention == "rescaled":
-        sigma = arg / (2.0 * _PI)
-    elif convention == "as-printed":
-        sigma = float(arg)
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"argument must be positive and finite, got {sigma}")
     a = 4.0 * _PI * sigma - 2.0 * _PI
     b = 4.0 * _PI * sigma + 2.0 * _PI
     si_term = (sine_integral(a) + sine_integral(b)) / _PI
@@ -346,8 +349,9 @@ def adjudicate_convention(s_samples: Sequence[float] = (0.5, 1.0, 2.0),
     """
     if len(s_samples) == 0:
         raise ValueError("need at least one sample size")
-    if tau_large < 100.0:
-        raise ValueError("tau_large below 100 cannot separate the candidates cleanly")
+    if tau_large < TAU_LARGE_MIN:
+        raise ValueError(f"tau_large below {TAU_LARGE_MIN:g} cannot separate "
+                         "the candidates cleanly")
     res_red, res_non, informative = [], [], []
     for s in s_samples:
         p_dyn = free_violation_probability(tau_large, s)

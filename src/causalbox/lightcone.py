@@ -134,8 +134,8 @@ def violation_probability(spectrum: ModeSpectrum, params: SystemParams,
 
     Returns the raw value (optionally with its error estimate when
     ``full_output`` is set).  Raw values may stray outside [0, 1] by up to
-    the reported estimate; they are not clamped here, so that consumers can
-    see the numerics.  A result outside [0, 1] by more than a generous
+    the reported estimate; they are returned as computed, so that consumers
+    can see the numerics.  A result outside [0, 1] by more than a generous
     multiple of the estimate raises, since that indicates a bug rather
     than roundoff.
     """

@@ -25,9 +25,12 @@ def _rows(path):
     return lines[0], [line.split(",") for line in lines[1:]]
 
 
-def _assert_stages_tile(manifest):
+BOX_STAGES = {"spectrum", "evaluate", "write"}
+
+
+def _assert_stages_tile(manifest, expected):
     stages = manifest["stages"]
-    assert set(stages) == {"spectrum", "evaluate", "write"}
+    assert set(stages) == expected
     assert all(v >= 0 for v in stages.values())
     assert sum(stages.values()) == pytest.approx(manifest["duration_s"],
                                                  abs=1e-3)
@@ -83,7 +86,7 @@ class TestViolationSweep:
         assert main(["violation-sweep", "--s", "0.2", "--lambda", "5",
                      "--tau-step", "0.5", "--out", str(out)]) == 0
         manifest = json.loads(_read(str(out) + ".manifest.json"))
-        _assert_stages_tile(manifest)
+        _assert_stages_tile(manifest, BOX_STAGES)
         assert manifest["parameters"]["fft_size"] == 131072
         spectrum = build_spectrum(5.0)
         assert manifest["parameters"]["spectrum_tail_bound"] \
@@ -150,7 +153,7 @@ class TestSnapshot:
         early = revived[revived[:, 1] < 3.9]
         assert early[:, 2].max() < 1e-4
         manifest = json.loads(_read(str(out) + ".manifest.json"))
-        _assert_stages_tile(manifest)
+        _assert_stages_tile(manifest, BOX_STAGES)
         assert manifest["parameters"]["profile_lattice"] == 2500
         spectrum = build_spectrum(5.0)
         assert manifest["parameters"]["spectrum_tail_bound"] \
@@ -205,6 +208,7 @@ class TestAsymptotic:
         assert record["convention"] == "reduced"
         manifest = json.loads(_read(str(out) + ".manifest.json"))
         assert manifest["convention"] == "reduced"
+        _assert_stages_tile(manifest, {"adjudicate", "evaluate", "write"})
 
     def test_forced_convention_skips_adjudication(self, tmp_path):
         out = tmp_path / "forced.csv"
@@ -214,6 +218,9 @@ class TestAsymptotic:
         assert rc == 0
         _, rows = _rows(out)
         assert rows[0][4] == "reduced"
+        assert not (tmp_path / "forced.csv.convention.json").exists()
+        manifest = json.loads(_read(str(out) + ".manifest.json"))
+        _assert_stages_tile(manifest, {"evaluate", "write"})
 
     def test_bad_range(self, tmp_path):
         rc = main(["asymptotic", "--s-min", "5", "--s-max", "1",
@@ -243,6 +250,47 @@ class TestAsymptotic:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
+
+    def test_unconverged_p_of_s_under_forced_convention(
+            self, tmp_path, capsys, monkeypatch):
+        # no adjudication runs, so the P(s) quadrature itself must refuse
+        monkeypatch.setattr(
+            causalbox.freespace, "integrate",
+            lambda f, a, b, cfg: QuadratureResult(0.5, 3e-3, 0, False))
+        rc = main(["asymptotic", "--s-min", "0.3", "--s-max", "1",
+                   "--convention", "reduced",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--tau-large", "50"],
+        ["asymptotic", "--s-min", "0.3", "--s-max", "inf", "--out", "x.csv"],
+        ["asymptotic", "--convention", "reduced", "--tau-large", "nan",
+         "--s-min", "0.3", "--s-max", "1", "--out", "x.csv"],
+        ["violation-sweep", "--s", "abc", "--lambda", "5", "--out", "x.csv"],
+        ["violation-sweep", "--s", "0.2", "--lambda", "5"],
+        ["no-such-command", "--out", "x.csv"],
+    ], ids=["tau-large-below-min", "s-max-inf", "tau-large-nan",
+            "s-not-a-number", "missing-out", "unknown-command"])
+    def test_rejected_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                    argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("invalid arguments:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "violation-sweep" in capsys.readouterr().out
 
 
 class TestBreakdownCommand:

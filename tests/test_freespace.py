@@ -221,6 +221,21 @@ class TestAsymptoticIntegral:
         assert mine == pytest.approx(riemann, abs=1e-8)
         assert mine == pytest.approx(0.960231973138, abs=1e-9)
 
+    def test_work_is_bounded_in_s(self, monkeypatch):
+        # breakpoints stop at 4000 pi; one per pi up to s = 1e9 would be 3e8,
+        # so the cap is checked at 1e5 (31 830 uncapped) before 1e9 runs
+        cuts = []
+
+        def counting(f, a, b, cfg):
+            cuts.append(len(cfg.breakpoints))
+            return integrate(f, a, b, cfg)
+
+        monkeypatch.setattr(freespace, "integrate", counting)
+        asymptotic_violation(1e5)
+        assert cuts == [4000]
+        assert abs(asymptotic_violation(1e9)) <= 1e-9
+        assert cuts == [4000, 4000]
+
     def test_monotone_decreasing(self):
         svals = np.linspace(0.0, 12.0, 25)
         pvals = [asymptotic_violation(s) for s in svals]
@@ -245,7 +260,7 @@ class TestClosedForm:
 
     def test_rescaled_convention(self):
         for s in (0.5, 1.0, 2.0, 6.0):
-            assert asymptotic_violation_closed(s, convention="rescaled") == \
+            assert asymptotic_violation_closed(s / (2.0 * PI)) == \
                 pytest.approx(asymptotic_violation(s), abs=1e-8)
 
     def test_vanishes_at_large_argument(self):
@@ -262,8 +277,6 @@ class TestClosedForm:
     def test_domain_and_convention_validation(self):
         with pytest.raises(ValueError):
             asymptotic_violation_closed(0.0)
-        with pytest.raises(ValueError):
-            asymptotic_violation_closed(1.0, convention="bogus")
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="positive and finite"):
                 asymptotic_violation_closed(bad)
