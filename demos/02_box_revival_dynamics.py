@@ -16,16 +16,16 @@ import numpy as np
 
 from causalbox import (
     SystemParams,
-    build_spectrum,
     density_norm,
     density_snapshot,
     initial_state,
+    profile_spectrum,
     time_scales,
     wavefunction,
 )
 
 params = SystemParams(s=0.1, lambda_factor=5.0)
-spectrum = build_spectrum(params)
+spectrum = profile_spectrum(params)
 scales = time_scales(params)
 
 print(f"s = {params.s}, Lambda = {params.lambda_factor}")

@@ -12,9 +12,12 @@ for doubles), comma separated, one header row, one trailing newline.  Each
 output file gets a JSON manifest sidecar recording the command, the full
 parameter set, the library version, the adjudicated convention where it
 applies, the wall-clock duration and ``stages``, the seconds per stage,
-which add up to the duration.  Identical invocations produce bit-identical
-CSV bytes, whatever --threads says; worker threads only partition the grid,
-they never change the arithmetic.
+which add up to the duration.  Box commands also record which truncation
+criteria chose the spectrum (``truncation``: "norm" for the sweep,
+"norm+uniform" for profiles), and the sweep its ``worst_error_estimate``.
+Identical invocations produce bit-identical CSV bytes, whatever --threads
+says; worker threads only partition the grid, they never change the
+arithmetic.
 
 Exit codes: 0 success, 1 invalid arguments (usage errors included) or
 validation/numerical failure, 2 adjudication failure, 3 I/O error.  Each
@@ -37,7 +40,7 @@ import numpy as np
 from . import __version__
 from .boxmodes import (build_spectrum, density_norm, density_snapshot,
                        initial_state, parseval_partial_sum, profile_lattice,
-                       wavefunction)
+                       profile_spectrum, wavefunction)
 from .breakdown import (CONFINEMENT_THRESHOLD, breakdown_interval,
                         breakdown_report)
 from .freespace import (TAU_LARGE_MIN, AdjudicationError, ConventionRecord,
@@ -107,9 +110,14 @@ def _chunked_map(fn, items, threads: int):
 
 
 def _box_parameters(args, spectrum) -> dict:
-    """Manifest fields shared by the box commands: inputs and truncation."""
+    """Manifest fields shared by the box commands: inputs and truncation.
+
+    ``truncation`` names the criteria that chose N: "norm" alone, or
+    "norm+uniform" when the sup-norm tail was cut too.
+    """
+    truncation = "norm" if spectrum.uniform_tol is None else "norm+uniform"
     return {"s": args.s, "lambda": args.lambda_factor, "tol": args.tol,
-            "threads": args.threads,
+            "threads": args.threads, "truncation": truncation,
             "spectrum_max_mode": spectrum.max_mode,
             "spectrum_tail_bound": spectrum.tail_bound,
             "spectrum_amplitude_tail_bound": spectrum.amplitude_tail_bound}
@@ -133,7 +141,8 @@ def cmd_violation_sweep(args) -> int:
     _write_outputs(args, clock, "tau,p_violation,error_estimate", rows,
                    {**_box_parameters(args, spectrum),
                     "tau_step": args.tau_step, "grid_points": int(len(grid)),
-                    "fft_size": spectrum.fft_size})
+                    "fft_size": spectrum.fft_size,
+                    "worst_error_estimate": max(err for _, err in results)})
     return 0
 
 
@@ -152,7 +161,7 @@ def _zeta_grid(lam: float, step: float) -> np.ndarray:
 def cmd_snapshot(args) -> int:
     params = SystemParams(s=args.s, lambda_factor=args.lambda_factor)
     clock = _Clock()
-    spectrum = build_spectrum(params, tol=args.tol)
+    spectrum = profile_spectrum(params, tol=args.tol)
     clock.lap("spectrum")
     scales = time_scales(params)
     if args.tau_list:
@@ -171,7 +180,8 @@ def cmd_snapshot(args) -> int:
     rows = ((_fmt(curve.tau), _fmt(z), _fmt(r))
             for curve in curves for z, r in zip(curve.zeta, curve.rho))
     _write_outputs(args, clock, "tau,zeta,rho", rows,
-                   {**_box_parameters(args, spectrum), "tau_list": taus,
+                   {**_box_parameters(args, spectrum),
+                    "tau_list": taus,
                     "zeta_step": args.zeta_step,
                     "profile_lattice": profile_lattice(spectrum, zgrid)})
     return 0
@@ -208,7 +218,9 @@ def cmd_asymptotic(args) -> int:
                    rows,
                    {"s_min": args.s_min, "s_max": args.s_max,
                     "n_points": args.n_points, "threads": args.threads,
-                    "tau_large": args.tau_large,
+                    # a forced convention never reads tau_large
+                    "tau_large": (args.tau_large if args.convention == "auto"
+                                  else None),
                     "requested_convention": args.convention},
                    convention=record.convention)
     return 0
@@ -255,18 +267,21 @@ def _validation_checks(tau_large: float):
 
     params = SystemParams(s=0.1, lambda_factor=5.0)
     spec = build_spectrum(params)
+    profile = profile_spectrum(params)
     scales = time_scales(params)
     worst = max(abs(density_norm(spec, params.s, t) - 1.0)
                 for t in (0.0, 0.37, scales.tau_specular, 2.9))
     yield ("box_unitarity", worst <= 1e-8, f"worst |norm-1| {worst:.2e}")
 
     zg = np.linspace(0.0, 5.0, 201)
-    d = np.abs(wavefunction(spec, params.s, zg, 0.37)
-               - wavefunction(spec, params.s, zg, 0.37 + scales.tau_revival))
+    d = np.abs(wavefunction(profile, params.s, zg, 0.37)
+               - wavefunction(profile, params.s, zg,
+                              0.37 + scales.tau_revival))
     yield ("box_periodicity", float(d.max()) <= 1e-10,
            f"max pointwise diff {d.max():.2e}")
 
-    d = np.abs(np.abs(wavefunction(spec, params.s, zg, scales.tau_specular))
+    d = np.abs(np.abs(wavefunction(profile, params.s, zg,
+                                   scales.tau_specular))
                - np.abs(initial_state(5.0 - zg)))
     yield ("specular_revival", float(d.max()) <= 1e-4,
            f"sup modulus diff {d.max():.2e}")
@@ -277,7 +292,7 @@ def _validation_checks(tau_large: float):
                 abs(violation_probability(spec2, p2, 4.0)))
     yield ("violation_endpoints", worst <= 1e-6, f"worst endpoint {worst:.2e}")
 
-    small = build_spectrum(p2, tol=1e-8, uniform_tol=1.0)
+    small = build_spectrum(p2, tol=1e-8)
     pq = violation_probability(small, p2, 0.37, method="quadrature")
     pp = violation_probability(small, p2, 0.37)
     yield ("violation_cross_route", abs(pq - pp) <= 1e-6,

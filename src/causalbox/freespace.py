@@ -227,8 +227,11 @@ def asymptotic_violation(s: float) -> float:
     """Late-time violation probability 1 - 4 pi int_0^s of the ray density.
 
     The argument is the confinement size in reduced Compton wavelengths.
-    Decreases monotonically from 1 at s = 0 toward 0, crossing 1% a bit
-    above s = 6.
+    Decreases from 1 at s = 0 toward 0, crossing 1% a bit above s = 6.
+    The decrease is monotone only to within the 1e-10 absolute tolerance
+    past s = 4000 pi: there the last panel misses the tail, so the value
+    sits near 1e-12 (4.8e-13 at s = 2e4, 1.06e-12 at 1e9) where the exact
+    P falls like 2 pi / (3 s^3).
     """
     if not 0 <= s < math.inf:
         raise ValueError(f"confinement size must be non-negative and finite, got {s}")
@@ -349,9 +352,10 @@ def adjudicate_convention(s_samples: Sequence[float] = (0.5, 1.0, 2.0),
     """
     if len(s_samples) == 0:
         raise ValueError("need at least one sample size")
-    if tau_large < TAU_LARGE_MIN:
-        raise ValueError(f"tau_large below {TAU_LARGE_MIN:g} cannot separate "
-                         "the candidates cleanly")
+    # written so that NaN fails too
+    if not tau_large >= TAU_LARGE_MIN:
+        raise ValueError(f"tau_large must be at least {TAU_LARGE_MIN:g} to "
+                         f"separate the candidates cleanly, got {tau_large}")
     res_red, res_non, informative = [], [], []
     for s in s_samples:
         p_dyn = free_violation_probability(tau_large, s)

@@ -23,6 +23,7 @@ from causalbox import (
     is_total_breakdown,
     lorentz_factor,
     parseval_partial_sum,
+    profile_spectrum,
     time_scales,
     violation_curve,
     violation_probability,
@@ -80,7 +81,8 @@ def test_criterion_05_marginal_peak(spectrum_lam5, params_s02):
                                    (0.5, 3.7)])
 def test_criterion_06_revival_invariants(s, lam, rng):
     params = SystemParams(s=s, lambda_factor=lam)
-    spectrum = build_spectrum(params)
+    # the 1e-4 specular sup bound is the sup-norm cut's
+    spectrum = profile_spectrum(params)
     scales = time_scales(params)
 
     norm_errs = [abs(density_norm(spectrum, s, t) - 1.0)

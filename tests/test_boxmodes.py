@@ -14,6 +14,7 @@ from causalbox import (
     initial_state,
     mode_coefficient,
     parseval_partial_sum,
+    profile_spectrum,
     time_scales,
     wavefunction,
 )
@@ -77,10 +78,11 @@ class TestBuildSpectrum:
             with pytest.raises(ValueError):
                 build_spectrum(bad)
 
-    def test_parseval_within_tail_bound(self, spectrum_lam5):
-        eps = 1.0 - spectrum_lam5.parseval_weight()
-        assert 0.0 <= eps <= spectrum_lam5.tail_bound
-        assert spectrum_lam5.tail_bound <= 1e-10
+    def test_parseval_within_tail_bound(self, spectrum_lam5, profile_lam5):
+        for spec in (spectrum_lam5, profile_lam5):
+            eps = 1.0 - spec.parseval_weight()
+            assert 0.0 <= eps <= spec.tail_bound
+            assert spec.tail_bound <= 1e-10
 
     def test_loose_tolerance(self):
         spec = build_spectrum(5.0, tol=0.5)
@@ -99,8 +101,12 @@ class TestBuildSpectrum:
         assert spec.lambda_factor == 5.0
 
     def test_default_truncation(self):
-        for lam, n_max in ((2.0, 18007), (5.0, 45016), (20.0, 180064)):
+        # the norm criterion alone by default; profiles add the sup-norm cut
+        for lam, n_max in ((2.0, 2211), (5.0, 5528), (20.0, 22110)):
             assert build_spectrum(lam).max_mode == n_max
+        for lam, n_max in ((2.0, 18007), (5.0, 45016), (20.0, 180064)):
+            assert build_spectrum(lam, uniform_tol=1e-4).max_mode == n_max
+            assert profile_spectrum(lam).max_mode == n_max
 
     def test_tight_tolerance_keeps_a_positive_tail_bound(self):
         # the weight bound used to cancel to -2.0e-18 at N = 1 792 112
@@ -132,63 +138,64 @@ def test_tail_bounds_against_mpmath(lam):
 
 
 class TestWavefunction:
-    def test_initial_reconstruction(self, spectrum_lam5):
-        amp = wavefunction(spectrum_lam5, 0.2, 0.5, 0.0)
+    def test_initial_reconstruction(self, profile_lam5):
+        amp = wavefunction(profile_lam5, 0.2, 0.5, 0.0)
         assert abs(amp) == pytest.approx(math.sqrt(2.0), abs=1e-6)
         # released profile is positive on (0, 1) under the phase convention
         assert amp.real > 0 and abs(amp.imag) < 1e-12
 
-    def test_initially_confined(self, spectrum_lam5):
-        assert abs(wavefunction(spectrum_lam5, 0.2, 1.7, 0.0)) < 1e-6
-        assert abs(wavefunction(spectrum_lam5, 0.2, 3.9, 0.0)) < 1e-6
+    def test_initially_confined(self, profile_lam5):
+        assert abs(wavefunction(profile_lam5, 0.2, 1.7, 0.0)) < 1e-6
+        assert abs(wavefunction(profile_lam5, 0.2, 3.9, 0.0)) < 1e-6
 
-    def test_walls_exact_zero(self, spectrum_lam5):
-        assert wavefunction(spectrum_lam5, 0.2, 0.0, 0.37) == 0.0
-        assert wavefunction(spectrum_lam5, 0.2, 5.0, 0.37) == 0.0
+    def test_walls_exact_zero(self, profile_lam5):
+        assert wavefunction(profile_lam5, 0.2, 0.0, 0.37) == 0.0
+        assert wavefunction(profile_lam5, 0.2, 5.0, 0.37) == 0.0
 
-    def test_domain_errors(self, spectrum_lam5):
+    def test_domain_errors(self, profile_lam5):
         with pytest.raises(ValueError):
-            wavefunction(spectrum_lam5, 0.2, -0.1, 0.0)
+            wavefunction(profile_lam5, 0.2, -0.1, 0.0)
         with pytest.raises(ValueError):
-            wavefunction(spectrum_lam5, 0.2, 5.1, 0.0)
+            wavefunction(profile_lam5, 0.2, 5.1, 0.0)
         with pytest.raises(ValueError):
-            wavefunction(spectrum_lam5, 0.2, 1.0, -0.1)
+            wavefunction(profile_lam5, 0.2, 1.0, -0.1)
         for bad_tau in (math.inf, math.nan):
             with pytest.raises(ValueError):
-                wavefunction(spectrum_lam5, 0.2, 1.0, bad_tau)
+                wavefunction(profile_lam5, 0.2, 1.0, bad_tau)
         with pytest.raises(ValueError):
-            wavefunction(spectrum_lam5, -0.2, 1.0, 0.1)
+            wavefunction(profile_lam5, -0.2, 1.0, 0.1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_zeta_rejected(self, spectrum_lam5, bad):
+    def test_non_finite_zeta_rejected(self, profile_lam5, bad):
         with pytest.raises(ValueError, match="finite"):
-            wavefunction(spectrum_lam5, 0.2, bad, 0.37)
+            wavefunction(profile_lam5, 0.2, bad, 0.37)
         grid = np.linspace(0.0, 5.0, 11)
         grid[4] = bad
         with pytest.raises(ValueError, match="finite"):
-            wavefunction(spectrum_lam5, 0.2, grid, 0.37)
+            wavefunction(profile_lam5, 0.2, grid, 0.37)
 
-    def test_specular_revival_modulus(self, spectrum_lam5):
+    def test_specular_revival_modulus(self, profile_lam5):
+        # the 1e-4 sup bound is the sup-norm cut's
         s = 0.1
         tau_spec = time_scales(SystemParams(s=s, lambda_factor=5.0)).tau_specular
         zg = np.linspace(0.0, 5.0, 801)
-        revived = np.abs(wavefunction(spectrum_lam5, s, zg, tau_spec))
+        revived = np.abs(wavefunction(profile_lam5, s, zg, tau_spec))
         mirrored = np.abs(initial_state(5.0 - zg))
         assert np.max(np.abs(revived - mirrored)) < 1e-4
 
-    def test_exact_periodicity(self, spectrum_lam5):
+    def test_exact_periodicity(self, profile_lam5):
         s = 0.7
         tau_rev = time_scales(SystemParams(s=s, lambda_factor=5.0)).tau_revival
         zg = np.linspace(0.0, 5.0, 201)
-        before = wavefunction(spectrum_lam5, s, zg, 1.234)
-        after = wavefunction(spectrum_lam5, s, zg, 1.234 + tau_rev)
+        before = wavefunction(profile_lam5, s, zg, 1.234)
+        after = wavefunction(profile_lam5, s, zg, 1.234 + tau_rev)
         assert np.max(np.abs(before - after)) < 1e-10
 
-    def test_block_boundaries_do_not_matter(self, spectrum_lam5):
+    def test_block_boundaries_do_not_matter(self, profile_lam5):
         # array evaluation must equal per-point evaluation to tight roundoff
         zg = np.linspace(0.3, 4.9, 7)
-        arr = wavefunction(spectrum_lam5, 0.2, zg, 0.37)
-        pts = np.array([wavefunction(spectrum_lam5, 0.2, float(z), 0.37)
+        arr = wavefunction(profile_lam5, 0.2, zg, 0.37)
+        pts = np.array([wavefunction(profile_lam5, 0.2, float(z), 0.37)
                         for z in zg])
         assert np.max(np.abs(arr - pts)) < 1e-12
 
@@ -212,9 +219,9 @@ class TestDenseKernel:
 
     SPECTRA = {
         "lam1_N1": lambda: _first_modes(1.0, 1),
-        "lam2": lambda: build_spectrum(2.0),
-        "lam4.7": lambda: build_spectrum(4.7),
-        "lam20": lambda: build_spectrum(20.0),
+        "lam2": lambda: profile_spectrum(2.0),
+        "lam4.7": lambda: profile_spectrum(4.7),
+        "lam20": lambda: profile_spectrum(20.0),
         "square": lambda: _first_modes(3.3, 2499),  # N + 1 = 50^2
         "prime": lambda: _first_modes(3.3, 2002),  # N + 1 = 2003
     }
@@ -245,7 +252,7 @@ class TestDenseKernel:
     def test_batch_over_several_blocks_equals_single_points(self):
         # a block holds about 1e6 / (A + B) points, 1177 at N = 180 064,
         # so this batch spans four blocks
-        spec = build_spectrum(20.0)
+        spec = profile_spectrum(20.0)
         zeta = np.sort(np.random.default_rng(11).uniform(0.0, 20.0, 4001))
         amp = wavefunction(spec, 0.3, zeta, 0.731)
         picks = np.unique(np.concatenate(
@@ -260,7 +267,7 @@ class TestLatticeProfiles:
 
     @pytest.fixture(scope="class", params=[2.0, 4.7, 20.0])
     def spectrum(self, request):
-        return build_spectrum(request.param)
+        return profile_spectrum(request.param)
 
     @staticmethod
     def _grids(lam):
@@ -291,7 +298,7 @@ class TestLatticeProfiles:
     def test_step_on_a_finer_common_lattice(self):
         # multiples of 0.003 and then 4.7: no gap is 4.7/M for the M of the
         # smallest gap, but every gap is a multiple of 0.001
-        spec = build_spectrum(4.7)
+        spec = profile_spectrum(4.7)
         grid = _zeta_grid(4.7, 0.003)
         assert profile_lattice(spec, grid) == 4700
         amp = wavefunction(spec, 0.3, grid, 0.731)
@@ -323,31 +330,31 @@ class TestLatticeProfiles:
 
 
 class TestDensity:
-    def test_snapshot_initial_profile(self, spectrum_lam5):
+    def test_snapshot_initial_profile(self, profile_lam5):
         zg = np.linspace(0.0, 5.0, 501)
-        curve = density_snapshot(spectrum_lam5, 0.2, zg, 0.0)
+        curve = density_snapshot(profile_lam5, 0.2, zg, 0.0)
         expected = np.where((zg > 0) & (zg < 1),
                             2.0 * np.sin(PI * zg) ** 2, 0.0)
         assert np.max(np.abs(curve.rho - expected)) < 1e-5
 
-    def test_snapshot_specular_support(self, spectrum_lam5, params_s01):
+    def test_snapshot_specular_support(self, profile_lam5, params_s01):
         tau_spec = time_scales(params_s01).tau_specular
         zg = np.linspace(0.0, 3.9, 400)
-        curve = density_snapshot(spectrum_lam5, params_s01.s, zg, tau_spec)
+        curve = density_snapshot(profile_lam5, params_s01.s, zg, tau_spec)
         assert np.max(curve.rho) < 1e-4
 
-    def test_snapshot_grid_validation(self, spectrum_lam5):
+    def test_snapshot_grid_validation(self, profile_lam5):
         with pytest.raises(ValueError):
-            density_snapshot(spectrum_lam5, 0.2, np.array([]), 0.0)
+            density_snapshot(profile_lam5, 0.2, np.array([]), 0.0)
         with pytest.raises(ValueError):
-            density_snapshot(spectrum_lam5, 0.2, np.array([0.5, 0.4]), 0.0)
+            density_snapshot(profile_lam5, 0.2, np.array([0.5, 0.4]), 0.0)
 
-    def test_unitarity_at_generic_time(self, spectrum_lam5):
-        norm = density_norm(spectrum_lam5, 0.2, 0.37)
+    def test_unitarity_at_generic_time(self, profile_lam5):
+        norm = density_norm(profile_lam5, 0.2, 0.37)
         assert norm == pytest.approx(1.0, abs=1e-8)
 
-    def test_norm_is_time_independent(self, spectrum_lam5, rng):
-        norms = [density_norm(spectrum_lam5, 0.7, t)
+    def test_norm_is_time_independent(self, profile_lam5, rng):
+        norms = [density_norm(profile_lam5, 0.7, t)
                  for t in rng.uniform(0.0, 20.0, 5)]
         assert np.max(np.abs(np.diff(norms))) < 1e-13
 

@@ -7,7 +7,8 @@ import pytest
 import causalbox.freespace
 import causalbox.lightcone
 import causalbox.special
-from causalbox import QuadratureResult, build_spectrum
+from causalbox import (QuadratureResult, build_spectrum, initial_state,
+                       mode_coefficient, profile_spectrum)
 from causalbox.cli import main
 
 PI = math.pi
@@ -87,7 +88,12 @@ class TestViolationSweep:
                      "--tau-step", "0.5", "--out", str(out)]) == 0
         manifest = json.loads(_read(str(out) + ".manifest.json"))
         _assert_stages_tile(manifest, BOX_STAGES)
-        assert manifest["parameters"]["fft_size"] == 131072
+        assert manifest["parameters"]["fft_size"] == 16384
+        assert manifest["parameters"]["truncation"] == "norm"
+        _, rows = _rows(out)
+        assert manifest["parameters"]["worst_error_estimate"] \
+            == max(float(r[2]) for r in rows)
+        assert 0.0 < manifest["parameters"]["worst_error_estimate"] <= 3e-7
         spectrum = build_spectrum(5.0)
         assert manifest["parameters"]["spectrum_tail_bound"] \
             == spectrum.tail_bound
@@ -97,7 +103,7 @@ class TestViolationSweep:
     def test_probability_out_of_range_is_a_numerical_failure(
             self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(causalbox.lightcone, "_pairwise_value",
-                            lambda *args: 5.0)
+                            lambda *args: (5.0, 1e-7))
         rc = main(["violation-sweep", "--s", "0.2", "--lambda", "5",
                    "--tau-step", "0.5", "--out", str(tmp_path / "x.csv")])
         assert rc == 1
@@ -155,11 +161,36 @@ class TestSnapshot:
         manifest = json.loads(_read(str(out) + ".manifest.json"))
         _assert_stages_tile(manifest, BOX_STAGES)
         assert manifest["parameters"]["profile_lattice"] == 2500
-        spectrum = build_spectrum(5.0)
+        assert manifest["parameters"]["truncation"] == "norm+uniform"
+        spectrum = profile_spectrum(5.0)
         assert manifest["parameters"]["spectrum_tail_bound"] \
             == spectrum.tail_bound
         assert manifest["parameters"]["spectrum_amplitude_tail_bound"] \
             == spectrum.amplitude_tail_bound
+
+    def test_profile_within_its_amplitude_tail_bound(self, tmp_path):
+        # the profile is the sum over the N modes the manifest records, and
+        # at the specular revival it is within that N's amplitude tail
+        # bound (1e-4 at the default tol) of the mirrored initial bump
+        out = tmp_path / "snap.csv"
+        tau_spec = 5.0 / PI
+        assert main(["snapshot", "--s", "0.1", "--lambda", "5",
+                     "--tau-list", f"0.37,{tau_spec:.17g}",
+                     "--zeta-step", "0.05", "--out", str(out)]) == 0
+        manifest = json.loads(_read(str(out) + ".manifest.json"))
+        n_max = manifest["parameters"]["spectrum_max_mode"]
+        bound = manifest["parameters"]["spectrum_amplitude_tail_bound"]
+        assert n_max == 45016 and bound <= 1e-4
+        _, rows = _rows(out)
+        data = np.array(rows, dtype=float).reshape(2, -1, 3)
+        zeta = data[0, :, 1]
+        n = np.arange(1, n_max + 1, dtype=float)
+        c = mode_coefficient(n, 5.0) * np.exp(
+            -1j * PI**2 * n**2 * 0.37 / (2.0 * 25.0 * 0.1))
+        direct = np.abs(np.sin(np.outer(zeta, n * PI / 5.0)) @ c)
+        assert np.max(np.abs(np.sqrt(data[0, :, 2]) - direct)) <= 1e-9
+        mirrored = np.abs(initial_state(5.0 - zeta))
+        assert np.max(np.abs(np.sqrt(data[1, :, 2]) - mirrored)) <= bound
 
     @pytest.mark.parametrize("option", [("--zeta-step", "0"),
                                         ("--tau-list", "inf")])
@@ -208,6 +239,7 @@ class TestAsymptotic:
         assert record["convention"] == "reduced"
         manifest = json.loads(_read(str(out) + ".manifest.json"))
         assert manifest["convention"] == "reduced"
+        assert manifest["parameters"]["tau_large"] == 300.0
         _assert_stages_tile(manifest, {"adjudicate", "evaluate", "write"})
 
     def test_forced_convention_skips_adjudication(self, tmp_path):
@@ -221,6 +253,18 @@ class TestAsymptotic:
         assert not (tmp_path / "forced.csv.convention.json").exists()
         manifest = json.loads(_read(str(out) + ".manifest.json"))
         _assert_stages_tile(manifest, {"evaluate", "write"})
+
+    @pytest.mark.parametrize("convention", ["reduced", "nonreduced"])
+    def test_forced_convention_records_no_tau_large(self, tmp_path,
+                                                    convention):
+        # the value is never read under a forced convention
+        out = tmp_path / "forced.csv"
+        assert main(["asymptotic", "--s-min", "1", "--s-max", "10",
+                     "--n-points", "3", "--convention", convention,
+                     "--tau-large", "50", "--out", str(out)]) == 0
+        manifest = json.loads(_read(str(out) + ".manifest.json"))
+        assert manifest["parameters"]["tau_large"] is None
+        assert manifest["parameters"]["requested_convention"] == convention
 
     def test_bad_range(self, tmp_path):
         rc = main(["asymptotic", "--s-min", "5", "--s-max", "1",

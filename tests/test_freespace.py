@@ -334,6 +334,14 @@ class TestAdjudication:
         with pytest.raises(ValueError):
             adjudicate_convention(s_samples=(1.0,), tau_large=50.0)
 
+    def test_nan_tau_large_names_its_argument(self):
+        # NaN passes a `tau_large < bound` test and used to fail later,
+        # in another function, about that function's argument
+        with pytest.raises(ValueError, match="^tau_large must be at least") \
+                as exc:
+            adjudicate_convention(tau_large=math.nan)
+        assert "\n" not in str(exc.value)
+
     def test_shorter_evolution_larger_residual_same_verdict(self):
         early = adjudicate_convention(s_samples=(1.0, 2.0), tau_large=100.0)
         late = adjudicate_convention(s_samples=(1.0, 2.0), tau_large=1000.0)

@@ -65,7 +65,7 @@ def test_marginal_peak_analytic(spectrum_lam5, params_s02):
 def small_spectrum():
     # lighter truncation keeps the dense-grid oracle affordable; the
     # uniform tail does not matter when both routes share the spectrum
-    return build_spectrum(5.0, tol=1e-7, uniform_tol=1.0)
+    return build_spectrum(5.0, tol=1e-7)
 
 
 class TestCrossRoutes:
@@ -131,24 +131,24 @@ def _double_sum_oracle(spectrum, s, tau, front):
 
 @pytest.mark.parametrize("lam, tol", [(2.0, 1e-3), (5.0, 1e-4)])
 def test_pairwise_kernel_matches_double_sum(lam, tol):
-    spectrum = build_spectrum(lam, tol=tol, uniform_tol=1.0)
+    spectrum = build_spectrum(lam, tol=tol)
     assert spectrum.max_mode < 100
     # the last time is 3.5 revival periods at s = 0.05, Lambda = 2
     for s, tau, front in [(0.3, 0.2, 1.2), (1.0, 0.6, 1.45),
                           (0.2, 0.37, lam - 0.3), (0.05, 0.9, 1.9)]:
-        value = _pairwise_value(spectrum, s, tau, front)
+        value, _ = _pairwise_value(spectrum, s, tau, front)
         assert value == pytest.approx(
             _double_sum_oracle(spectrum, s, tau, front), abs=1e-13)
 
 
 @pytest.mark.parametrize("s", [0.1, 0.7])
-def test_reduced_phases_match_unreduced_law(spectrum_lam5, s):
-    lam = spectrum_lam5.lambda_factor
+def test_reduced_phases_match_unreduced_law(profile_lam5, s):
+    lam = profile_lam5.lambda_factor
     tau_rev = time_scales(SystemParams(s=s, lambda_factor=lam)).tau_revival
-    n = np.arange(1, spectrum_lam5.max_mode + 1, dtype=float)
+    n = np.arange(1, profile_lam5.max_mode + 1, dtype=float)
     for tau in (0.0, 0.37, 0.5 * tau_rev, 1.3 * tau_rev, 2.9 * tau_rev):
         arg = PI**2 * n * n * tau / (2.0 * lam * lam * s)
-        diff = np.abs(_phases(spectrum_lam5, s, tau) - np.exp(-1j * arg))
+        diff = np.abs(_phases(profile_lam5, s, tau) - np.exp(-1j * arg))
         assert diff.max() <= 64.0 * np.finfo(float).eps * max(arg.max(), 1.0)
 
 
