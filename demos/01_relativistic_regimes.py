@@ -17,7 +17,6 @@ from causalbox import (
     CONFINEMENT_THRESHOLD,
     SystemParams,
     breakdown_interval,
-    breakdown_possible,
     gaussian_width,
     lorentz_factor,
     speed_fraction,
@@ -43,7 +42,7 @@ print(f"{'s':>8} {'possible':>9} {'window':>24}")
 for s in (0.05, 0.1, 0.15, CONFINEMENT_THRESHOLD, 0.25):
     window = breakdown_interval(s)
     text = f"[{window[0]:.3f}, {window[1]:.3f}]" if window else "none"
-    print(f"{s:8.4f} {str(breakdown_possible(s)):>9} {text:>24}")
+    print(f"{s:8.4f} {str(window is not None):>9} {text:>24}")
 
 print()
 print("=" * 72)

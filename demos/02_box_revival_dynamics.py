@@ -44,10 +44,10 @@ zgrid = np.linspace(0.0, params.lambda_factor, 1001)
 
 print(f"{'snapshot':>20} {'tau':>9} {'norm':>12} {'<zeta>':>8} {'support':>18}")
 for label, tau in snapshots:
-    curve = density_snapshot(spectrum, params.s, zgrid, tau)
+    rho = density_snapshot(spectrum, params.s, zgrid, tau)
     norm = density_norm(spectrum, params.s, tau)
-    mean = np.trapezoid(curve.rho * zgrid, zgrid)
-    occupied = zgrid[curve.rho > 1e-3]
+    mean = np.trapezoid(rho * zgrid, zgrid)
+    occupied = zgrid[rho > 1e-3]
     support = f"[{occupied[0]:.2f}, {occupied[-1]:.2f}]" if len(occupied) else "-"
     print(f"{label:>20} {tau:9.4f} {norm:12.10f} {mean:8.3f} {support:>18}")
 

@@ -67,7 +67,6 @@ from scipy.fft import dst
 
 __all__ = [
     "ModeSpectrum",
-    "DensityCurve",
     "mode_coefficient",
     "coefficient_ratio",
     "build_spectrum",
@@ -81,6 +80,10 @@ __all__ = [
 ]
 
 _PI = math.pi
+# Cap on the retained modes N, checked before any array is allocated.  It
+# admits the profile spectrum at Lambda = 100 (900 317 modes) and bounds a
+# pairwise P(tau) transform at 2^23 complex points (128 MB per array).
+_MAX_MODES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -119,15 +122,6 @@ class ModeSpectrum:
         panel count of the exact density-norm quadrature.
         """
         return 1 << int(math.ceil(math.log2(2 * self.max_mode + 2)))
-
-
-@dataclass(frozen=True)
-class DensityCurve:
-    """Probability density sampled on a spatial grid at one instant."""
-
-    tau: float
-    zeta: np.ndarray
-    rho: np.ndarray
 
 
 def coefficient_ratio(n, lambda_factor: float):
@@ -214,7 +208,8 @@ def build_spectrum(params, tol: float = 1e-10,
     45 016 and 180 064 at Lambda = 2, 5 and 20, against 2 211, 5 528 and
     22 110 for tol = 1e-10 alone).  Both tail bounds are reported either way.  The degenerate Lambda = 1
     case is allowed: only the resonant n = 1 mode survives, with
-    b_1 = sqrt(2).
+    b_1 = sqrt(2).  A tolerance that needs more than 2^21 modes raises
+    ValueError before anything is allocated.
     """
     if not 0 < tol < 1:
         raise ValueError(f"truncation tolerance must lie in (0, 1), got {tol}")
@@ -227,6 +222,10 @@ def build_spectrum(params, tol: float = 1e-10,
     if uniform_tol is not None:
         n_max = max(n_max, _smallest_mode(lam, _tail_amplitude_bound,
                                           uniform_tol))
+    if n_max > _MAX_MODES:
+        raise ValueError(
+            f"tol={tol:g} at Lambda={lam:g} needs {n_max} modes, more than "
+            f"the {_MAX_MODES} allowed; raise tol or lower Lambda")
     coeffs = mode_coefficient(np.arange(1, n_max + 1), lam)
     return ModeSpectrum(
         lambda_factor=lam,
@@ -384,16 +383,14 @@ def initial_state(zeta):
 
 
 def density_snapshot(spectrum: ModeSpectrum, s: float, zeta_grid,
-                     tau: float) -> DensityCurve:
-    """|psi|^2 on a strictly increasing grid at a fixed instant."""
+                     tau: float) -> np.ndarray:
+    """rho = |psi|^2 on a strictly increasing grid at a fixed instant."""
     grid = np.asarray(zeta_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("zeta grid must not be empty")
     if grid.ndim != 1 or (grid.size > 1 and not np.all(np.diff(grid) > 0)):
         raise ValueError("zeta grid must be 1-D and strictly increasing")
-    amp = wavefunction(spectrum, s, grid, tau)
-    return DensityCurve(tau=float(tau), zeta=grid,
-                        rho=np.abs(amp) ** 2)
+    return np.abs(wavefunction(spectrum, s, grid, tau)) ** 2
 
 
 def density_norm(spectrum: ModeSpectrum, s: float, tau: float) -> float:

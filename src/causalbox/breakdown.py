@@ -20,6 +20,11 @@ and, below it, the admissible expansion window
 For s << pi/16 the smaller root suffers cancellation in that textbook form,
 so it is recovered from the product of roots Lambda_- Lambda_+ = pi / s.
 
+The answers are plain values.  ``breakdown_interval(s)`` is that window,
+or None above the threshold, so ``breakdown_interval(s) is not None`` says
+whether any expansion factor breaks down; ``is_total_breakdown(s, Lambda)``
+is the verdict for one pair.
+
 Also here: the free Gaussian wave-packet spreading width, the standard
 cautionary example of apparent superluminal spreading.  With lengths in
 reduced Compton wavelengths and tau = c t in the same unit, an initial
@@ -32,41 +37,18 @@ support to violate; the boxed setup exists precisely to fix that.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 __all__ = [
     "CONFINEMENT_THRESHOLD",
     "GAMMA_THRESHOLD",
-    "BreakdownReport",
-    "breakdown_possible",
     "breakdown_interval",
     "is_total_breakdown",
-    "breakdown_report",
     "gaussian_width",
 ]
 
 CONFINEMENT_THRESHOLD = math.pi / 16.0
 GAMMA_THRESHOLD = 129.0
-
-
-@dataclass(frozen=True)
-class BreakdownReport:
-    """Verdict of the total-breakdown analysis for one (s, Lambda)."""
-
-    s: float
-    lambda_factor: float
-    possible: bool
-    interval: Optional[Tuple[float, float]]
-    gamma_threshold: float
-    total_breakdown: bool
-
-
-def breakdown_possible(s: float) -> bool:
-    """Whether any expansion factor allows total breakdown: s <= pi/16."""
-    if not s > 0:
-        raise ValueError(f"confinement size s must be positive, got {s}")
-    return s <= CONFINEMENT_THRESHOLD
 
 
 def breakdown_interval(s: float) -> Optional[Tuple[float, float]]:
@@ -98,18 +80,6 @@ def is_total_breakdown(s: float, lambda_factor: float) -> bool:
         raise ValueError(f"expansion factor must exceed 1, got {lambda_factor}")
     lam = lambda_factor
     return (2.0 * s / math.pi) * lam * lam - lam + 2.0 <= 0.0
-
-
-def breakdown_report(s: float, lambda_factor: float) -> BreakdownReport:
-    """Full analysis record for one parameter point."""
-    return BreakdownReport(
-        s=s,
-        lambda_factor=lambda_factor,
-        possible=breakdown_possible(s),
-        interval=breakdown_interval(s),
-        gamma_threshold=GAMMA_THRESHOLD,
-        total_breakdown=is_total_breakdown(s, lambda_factor),
-    )
 
 
 def gaussian_width(sigma0: float, tau: float) -> float:

@@ -41,9 +41,9 @@ from . import __version__
 from .boxmodes import (build_spectrum, density_norm, density_snapshot,
                        initial_state, parseval_partial_sum, profile_lattice,
                        profile_spectrum, wavefunction)
-from .breakdown import (CONFINEMENT_THRESHOLD, breakdown_interval,
-                        breakdown_report)
-from .freespace import (TAU_LARGE_MIN, AdjudicationError, ConventionRecord,
+from .breakdown import (CONFINEMENT_THRESHOLD, GAMMA_THRESHOLD,
+                        breakdown_interval, is_total_breakdown)
+from .freespace import (TAU_LARGE_MIN, AdjudicationError,
                         adjudicate_convention, asymptotic_result,
                         asymptotic_violation, asymptotic_violation_closed)
 from .lightcone import (ProbabilityRangeError, default_sweep_grid,
@@ -175,22 +175,16 @@ def cmd_snapshot(args) -> int:
     def one(tau: float):
         return density_snapshot(spectrum, params.s, zgrid, tau)
 
-    curves = _chunked_map(one, taus, args.threads)
+    rhos = _chunked_map(one, taus, args.threads)
     clock.lap("evaluate")
-    rows = ((_fmt(curve.tau), _fmt(z), _fmt(r))
-            for curve in curves for z, r in zip(curve.zeta, curve.rho))
+    rows = ((_fmt(tau), _fmt(z), _fmt(r))
+            for tau, rho in zip(taus, rhos) for z, r in zip(zgrid, rho))
     _write_outputs(args, clock, "tau,zeta,rho", rows,
                    {**_box_parameters(args, spectrum),
                     "tau_list": taus,
                     "zeta_step": args.zeta_step,
                     "profile_lattice": profile_lattice(spectrum, zgrid)})
     return 0
-
-
-def _forced_record(name: str) -> ConventionRecord:
-    return ConventionRecord(convention=name, tau_large=math.nan, samples=(),
-                            residuals_reduced=(), residuals_nonreduced=(),
-                            informative=(), matched_residual=math.nan)
 
 
 def cmd_asymptotic(args) -> int:
@@ -203,17 +197,18 @@ def cmd_asymptotic(args) -> int:
         record = adjudicate_convention(tau_large=args.tau_large)
         _write_json(args.out + ".convention.json", asdict(record))
         clock.lap("adjudicate")
+        convention = record.convention
     else:
-        record = _forced_record(args.convention)
+        convention = args.convention
     sgrid = np.geomspace(args.s_min, args.s_max, args.n_points)
 
     def one(s: float):
-        return asymptotic_result(float(s), record)
+        return asymptotic_result(float(s), convention)
 
     results = _chunked_map(one, sgrid, args.threads)
     clock.lap("evaluate")
     rows = ((_fmt(r.s), _fmt(r.p_quadrature), _fmt(r.p_closed),
-             _fmt(r.p_series), record.convention) for r in results)
+             _fmt(r.p_series), convention) for r in results)
     _write_outputs(args, clock, "s,p_quadrature,p_closed,p_series,convention",
                    rows,
                    {"s_min": args.s_min, "s_max": args.s_max,
@@ -222,24 +217,25 @@ def cmd_asymptotic(args) -> int:
                     "tau_large": (args.tau_large if args.convention == "auto"
                                   else None),
                     "requested_convention": args.convention},
-                   convention=record.convention)
+                   convention=convention)
     return 0
 
 
 def cmd_breakdown(args) -> int:
-    report = breakdown_report(args.s, args.lambda_factor)
+    interval = breakdown_interval(args.s)
+    total = is_total_breakdown(args.s, args.lambda_factor)
     gamma = lorentz_factor(args.s)
     print(f"confinement size        s = {args.s:g}")
     print(f"expansion factor   Lambda = {args.lambda_factor:g}")
     print(f"threshold         pi/16 = {CONFINEMENT_THRESHOLD:.6f}")
     print(f"Lorentz factor     gamma = {gamma:.6g}"
-          f"   (threshold gamma = {report.gamma_threshold:g})")
-    if report.interval is not None:
-        lo, hi = report.interval
+          f"   (threshold gamma = {GAMMA_THRESHOLD:g})")
+    if interval is not None:
+        lo, hi = interval
         print(f"breakdown window  Lambda in [{lo:.6g}, {hi:.6g}]")
     else:
         print("breakdown window  none (s above threshold)")
-    verdict = "TOTAL BREAKDOWN" if report.total_breakdown else "NO"
+    verdict = "TOTAL BREAKDOWN" if total else "NO"
     print(f"verdict           {verdict}")
     return 0
 
@@ -283,7 +279,7 @@ def _validation_checks(tau_large: float):
     d = np.abs(np.abs(wavefunction(profile, params.s, zg,
                                    scales.tau_specular))
                - np.abs(initial_state(5.0 - zg)))
-    yield ("specular_revival", float(d.max()) <= 1e-4,
+    yield ("specular_revival", float(d.max()) <= 6e-5,
            f"sup modulus diff {d.max():.2e}")
 
     p2 = SystemParams(s=0.2, lambda_factor=5.0)

@@ -45,14 +45,17 @@ the two conventions, so this module carries an adjudication oracle:
 ``adjudicate_convention`` compares the exact finite-time dynamics at large
 tau against both candidate upper limits and records which one the dynamics
 actually follow (the reduced reading, by a wide margin), rather than
-baking either convention in silently.
+baking either convention in silently.  The verdict is a plain string,
+'reduced' or 'nonreduced'; ``asymptotic_result(s, convention)`` takes it,
+and one private mapping turns it into the integral's upper limit (s or
+2 pi s) and the closed form's argument (that limit over 2 pi).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.special import erf as _cerf
@@ -73,7 +76,6 @@ __all__ = [
     "asymptotic_violation_closed",
     "asymptotic_series",
     "adjudicate_convention",
-    "default_convention_record",
     "asymptotic_result",
     "TAU_LARGE_MIN",
 ]
@@ -267,7 +269,8 @@ def asymptotic_violation_closed(sigma: float) -> float:
     is evaluated through an exact sinc rewrite; the Ci-minus-log brackets
     are finite through sigma = 1/2 and are computed via the entire function
     Cin, never by subtracting singular pieces.  A reduced-unit size s maps
-    to sigma through ``ConventionRecord.closed_form_argument``.
+    to sigma = u/(2 pi), with u the upper limit that the convention gives
+    (see ``asymptotic_result``).
     """
     if not 0 < sigma < math.inf:
         raise ValueError(f"argument must be positive and finite, got {sigma}")
@@ -313,20 +316,6 @@ class ConventionRecord:
     informative: Tuple[bool, ...]
     matched_residual: float
 
-    def closed_form_argument(self, s: float) -> float:
-        """Argument at which the closed form reproduces the canonical P(s)."""
-        return s / (2.0 * _PI) if self.convention == "reduced" else s
-
-    def reduced_size(self, arg: float) -> float:
-        """Reduced-unit confinement size corresponding to a closed-form argument."""
-        return 2.0 * _PI * arg if self.convention == "reduced" else arg
-
-    def canonical_violation(self, s: float) -> float:
-        """Adjudicated asymptotic P for a reduced-unit confinement size s."""
-        if self.convention == "reduced":
-            return asymptotic_violation(s)
-        return asymptotic_violation(2.0 * _PI * s)
-
 
 @dataclass(frozen=True)
 class AsymptoticResult:
@@ -336,7 +325,22 @@ class AsymptoticResult:
     p_quadrature: float
     p_closed: float
     p_series: float
-    convention: ConventionRecord
+    convention: str
+
+
+def _upper_limit(s: float, convention: str) -> Tuple[float, float]:
+    """Upper limit u of the asymptotic integral at size s, and u/(2 pi).
+
+    u is s under the 'reduced' convention and 2 pi s under 'nonreduced';
+    u/(2 pi) is the closed form's argument.  Both come straight from s, so
+    neither carries the rounding of a multiply-then-divide.
+    """
+    if convention == "reduced":
+        return s, s / (2.0 * _PI)
+    if convention == "nonreduced":
+        return 2.0 * _PI * s, s
+    raise ValueError(f"unknown convention {convention!r}; "
+                     "expected 'reduced' or 'nonreduced'")
 
 
 def adjudicate_convention(s_samples: Sequence[float] = (0.5, 1.0, 2.0),
@@ -359,8 +363,8 @@ def adjudicate_convention(s_samples: Sequence[float] = (0.5, 1.0, 2.0),
     res_red, res_non, informative = [], [], []
     for s in s_samples:
         p_dyn = free_violation_probability(tau_large, s)
-        cand_red = asymptotic_violation(s)
-        cand_non = asymptotic_violation(2.0 * _PI * s)
+        cand_red = asymptotic_violation(_upper_limit(s, "reduced")[0])
+        cand_non = asymptotic_violation(_upper_limit(s, "nonreduced")[0])
         res_red.append(abs(p_dyn - cand_red))
         res_non.append(abs(p_dyn - cand_non))
         informative.append(abs(cand_red - cand_non) >= 0.1)
@@ -387,32 +391,19 @@ def adjudicate_convention(s_samples: Sequence[float] = (0.5, 1.0, 2.0),
     )
 
 
-_DEFAULT_RECORD: Optional[ConventionRecord] = None
-
-
-def default_convention_record() -> ConventionRecord:
-    """Adjudicate once with default samples and cache the record."""
-    global _DEFAULT_RECORD
-    if _DEFAULT_RECORD is None:
-        _DEFAULT_RECORD = adjudicate_convention()
-    return _DEFAULT_RECORD
-
-
-def asymptotic_result(s: float,
-                      record: ConventionRecord | None = None) -> AsymptoticResult:
+def asymptotic_result(s: float, convention: str) -> AsymptoticResult:
     """All three asymptotic evaluations at reduced-unit size s, reconciled.
 
-    p_quadrature is the canonical (adjudicated) value; p_closed and
-    p_series are evaluated at the argument the convention record assigns,
-    so the three columns agree in their shared regime.
+    ``convention`` is 'reduced' or 'nonreduced', normally the verdict
+    ``adjudicate_convention().convention``.  p_quadrature is the integral
+    to the convention's upper limit u; p_closed and p_series are evaluated
+    at u/(2 pi), so the three columns agree in their shared regime.
     """
-    if record is None:
-        record = default_convention_record()
-    arg = record.closed_form_argument(s)
+    upper, arg = _upper_limit(s, convention)
     return AsymptoticResult(
         s=float(s),
-        p_quadrature=record.canonical_violation(s),
+        p_quadrature=asymptotic_violation(upper),
         p_closed=asymptotic_violation_closed(arg),
         p_series=asymptotic_series(arg),
-        convention=record,
+        convention=convention,
     )

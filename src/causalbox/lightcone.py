@@ -38,12 +38,17 @@ Two evaluation routes are provided:
     N = 1 191 (12 990 nodes, one wave), against 0.4 ms for the pairwise
     route on the same spectrum (one core of a 2-core Xeon).  Kept as the
     independent cross-check of the pairwise algebra.
+
+Each P(tau) is independent of every other, so a sweep is a plain loop over
+``violation_probability(..., full_output=True)`` on a grid such as
+``default_sweep_grid``; the CLI's ``violation-sweep`` maps it over worker
+threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -52,11 +57,9 @@ from .params import SystemParams, time_scales
 from .quadrature import NumericalConvergenceError, QuadratureConfig, integrate
 
 __all__ = [
-    "ViolationCurve",
     "ProbabilityRangeError",
     "light_front",
     "violation_probability",
-    "violation_curve",
     "default_sweep_grid",
 ]
 
@@ -74,17 +77,6 @@ def light_front(tau: float, lambda_factor: float) -> float:
     if not tau >= 0:
         raise ValueError(f"tau must be non-negative, got {tau}")
     return min(1.0 + tau, lambda_factor)
-
-
-@dataclass(frozen=True)
-class ViolationCurve:
-    """P(tau) sampled on a time grid, with per-point error estimates."""
-
-    tau_grid: np.ndarray
-    values: np.ndarray
-    error_estimates: np.ndarray
-    params: SystemParams
-    tolerances: dict = field(default_factory=dict)
 
 
 def _cosine_range_integrals(d: np.ndarray, front: float, lam: float) -> np.ndarray:
@@ -174,34 +166,6 @@ def violation_probability(spectrum: ModeSpectrum, params: SystemParams,
             f"violation probability {value} outside [0,1] beyond numerical "
             f"tolerance {guard}; inconsistent spectrum or parameters")
     return (value, err) if full_output else value
-
-
-def violation_curve(spectrum: ModeSpectrum, params: SystemParams,
-                    tau_grid) -> ViolationCurve:
-    """Evaluate P by the pairwise route on an increasing time grid.
-
-    Points are independent, so the result does not depend on evaluation
-    order.
-    """
-    grid = np.asarray(tau_grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("tau grid must not be empty")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise ValueError("tau grid must be strictly increasing")
-    if grid[0] < 0:
-        raise ValueError("tau grid must start at or after 0")
-    values = np.empty(grid.shape)
-    errors = np.empty(grid.shape)
-    for i, tau in enumerate(grid):
-        values[i], errors[i] = violation_probability(
-            spectrum, params, float(tau), full_output=True)
-    return ViolationCurve(
-        tau_grid=grid, values=values, error_estimates=errors, params=params,
-        tolerances={
-            "method": "pairwise",
-            "spectrum_tail_bound": spectrum.tail_bound,
-            "max_error_estimate": float(errors.max()),
-        })
 
 
 def default_sweep_grid(params: SystemParams, tau_step: float = 0.005) -> np.ndarray:

@@ -11,11 +11,12 @@ import pytest
 
 from causalbox import (
     SystemParams,
+    adjudicate_convention,
+    asymptotic_result,
     asymptotic_violation,
     asymptotic_violation_closed,
     breakdown_interval,
     build_spectrum,
-    default_convention_record,
     density_norm,
     free_violation_probability,
     initial_state,
@@ -25,7 +26,6 @@ from causalbox import (
     parseval_partial_sum,
     profile_spectrum,
     time_scales,
-    violation_curve,
     violation_probability,
     wavefunction,
 )
@@ -57,8 +57,8 @@ def test_criterion_02_breakdown_interval():
 def test_criterion_03_weak_violation_for_large_box(spectrum_lam5):
     params = SystemParams(s=4.0, lambda_factor=5.0)
     grid = np.round(np.arange(401) * 0.01, 12)
-    curve = violation_curve(spectrum_lam5, params, grid)
-    peak = float(curve.values.max())
+    peak = max(violation_probability(spectrum_lam5, params, float(tau))
+               for tau in grid)
     _report(3, peak <= 0.03, f"max P over tau grid (step 0.01) = "
                              f"{peak:.5f} <= 0.03")
 
@@ -145,20 +145,20 @@ def test_criterion_09_closed_form_and_cubic_coefficient():
 
 
 def test_criterion_10_one_percent_anchor():
-    record = default_convention_record()
-    s_equiv = record.reduced_size(1.0)
-    p = record.canonical_violation(s_equiv)
+    # printed-curve argument 1 is the upper limit 2 pi under either
+    # convention: s = 2 pi reduced, or s = 1 non-reduced
+    p = asymptotic_violation(2.0 * PI)
     ok = abs(p - 0.01) <= 0.005
-    _report(10, ok, f"convention={record.convention}: printed-curve argument "
-                    f"1 maps to s={s_equiv:.4f}, P = {p:.4f} = 0.01 +/- 0.005")
+    _report(10, ok, f"printed-curve argument 1 is upper limit 2 pi: "
+                    f"P = {p:.4f} = 0.01 +/- 0.005")
 
 
 def test_criterion_11_long_time_consistency():
-    record = default_convention_record()
+    convention = adjudicate_convention().convention
     ok = True
     details = []
     for s in (0.5, 1.0, 2.0):
-        target = record.canonical_violation(s)
+        target = asymptotic_result(s, convention).p_quadrature
         r_late = abs(free_violation_probability(1000.0, s) - target)
         r_early = abs(free_violation_probability(100.0, s) - target)
         ok = ok and r_late <= 0.01 and r_late < r_early

@@ -18,9 +18,11 @@ from causalbox import (
     time_scales,
     wavefunction,
 )
-from causalbox.boxmodes import (_tail_amplitude_bound, _tail_weight_bound,
-                                profile_lattice)
+from causalbox import boxmodes
+from causalbox.boxmodes import (_MAX_MODES, _tail_amplitude_bound,
+                                _tail_weight_bound, profile_lattice)
 from causalbox.cli import _zeta_grid
+from causalbox.freespace import _psi_erf
 
 PI = math.pi
 
@@ -115,6 +117,20 @@ class TestBuildSpectrum:
         assert _tail_weight_bound(1e6, 5.0) == pytest.approx(
             1.688686394e-17, rel=1e-9)
 
+    def test_mode_cap_refused_before_allocation(self, monkeypatch):
+        # the Lambda = 100 profile spectrum is the largest one in use
+        assert profile_spectrum(100.0).max_mode == 900317 <= _MAX_MODES
+
+        def no_allocation(*args):
+            raise AssertionError("coefficients allocated past the mode cap")
+        monkeypatch.setattr(boxmodes, "mode_coefficient", no_allocation)
+        for call in (lambda: build_spectrum(1e5),
+                     lambda: profile_spectrum(5.0, tol=1e-20),
+                     lambda: build_spectrum(5.0, tol=1e-30)):
+            with pytest.raises(ValueError, match="^tol=.* at Lambda=") as exc:
+                call()
+            assert "\n" not in str(exc.value)
+
 
 @pytest.mark.parametrize("lam", [2.0, 5.0, 20.0])
 def test_tail_bounds_against_mpmath(lam):
@@ -190,6 +206,17 @@ class TestWavefunction:
         before = wavefunction(profile_lam5, s, zg, 1.234)
         after = wavefunction(profile_lam5, s, zg, 1.234 + tau_rev)
         assert np.max(np.abs(before - after)) < 1e-10
+
+    def test_images_identity(self, profile_lam5):
+        # the Dirichlet box propagator is a sum of free half-line ones, so
+        # the box profile is the free closed form summed over images
+        # zeta + 2 k Lambda; with |k| <= 1000 the two agree to 2e-7
+        zeta = np.linspace(0.0, 5.0, 101)[1:-1]
+        tau, s = 0.02, 0.1
+        images = sum(_psi_erf(zeta + 2.0 * k * 5.0, tau, s)
+                     for k in range(-1000, 1001))
+        box = wavefunction(profile_lam5, s, zeta, tau)
+        assert np.max(np.abs(images - box)) <= 1e-6
 
     def test_block_boundaries_do_not_matter(self, profile_lam5):
         # array evaluation must equal per-point evaluation to tight roundoff
@@ -332,16 +359,16 @@ class TestLatticeProfiles:
 class TestDensity:
     def test_snapshot_initial_profile(self, profile_lam5):
         zg = np.linspace(0.0, 5.0, 501)
-        curve = density_snapshot(profile_lam5, 0.2, zg, 0.0)
+        rho = density_snapshot(profile_lam5, 0.2, zg, 0.0)
         expected = np.where((zg > 0) & (zg < 1),
                             2.0 * np.sin(PI * zg) ** 2, 0.0)
-        assert np.max(np.abs(curve.rho - expected)) < 1e-5
+        assert np.max(np.abs(rho - expected)) < 1e-5
 
     def test_snapshot_specular_support(self, profile_lam5, params_s01):
         tau_spec = time_scales(params_s01).tau_specular
         zg = np.linspace(0.0, 3.9, 400)
-        curve = density_snapshot(profile_lam5, params_s01.s, zg, tau_spec)
-        assert np.max(curve.rho) < 1e-4
+        rho = density_snapshot(profile_lam5, params_s01.s, zg, tau_spec)
+        assert np.max(rho) < 1e-4
 
     def test_snapshot_grid_validation(self, profile_lam5):
         with pytest.raises(ValueError):

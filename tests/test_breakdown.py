@@ -6,8 +6,6 @@ import pytest
 from causalbox import (
     CONFINEMENT_THRESHOLD,
     breakdown_interval,
-    breakdown_possible,
-    breakdown_report,
     gaussian_width,
     is_total_breakdown,
 )
@@ -20,11 +18,12 @@ def test_threshold_constant():
 
 
 def test_breakdown_possible():
-    assert breakdown_possible(0.1)
-    assert not breakdown_possible(0.2)
-    assert breakdown_possible(PI / 16.0)  # non-strict boundary
+    # breakdown is possible exactly when the window exists
+    assert breakdown_interval(0.1) is not None
+    assert breakdown_interval(0.2) is None
+    assert breakdown_interval(PI / 16.0) is not None  # non-strict boundary
     with pytest.raises(ValueError):
-        breakdown_possible(0.0)
+        breakdown_interval(0.0)
 
 
 def test_interval_reference_values():
@@ -71,7 +70,7 @@ def test_total_breakdown_implies_possible():
     for s in np.geomspace(0.02, 0.4, 25):
         for lam in np.linspace(1.1, 20.0, 40):
             if is_total_breakdown(s, lam):
-                assert breakdown_possible(s)
+                assert breakdown_interval(s) is not None
 
 
 def test_breakdown_inside_interval_consistency():
@@ -81,16 +80,6 @@ def test_breakdown_inside_interval_consistency():
         assert is_total_breakdown(s, mid)
         assert not is_total_breakdown(s, lo - 0.02)
         assert not is_total_breakdown(s, hi + 0.02)
-
-
-def test_report_bundles_everything():
-    rep = breakdown_report(0.1, 5.0)
-    assert rep.possible and rep.total_breakdown
-    assert rep.gamma_threshold == 129.0
-    assert rep.interval is not None
-    rep2 = breakdown_report(1.0, 5.0)
-    assert not rep2.possible and not rep2.total_breakdown
-    assert rep2.interval is None
 
 
 class TestGaussianSpread:

@@ -319,8 +319,11 @@ class TestBadInput:
         ["violation-sweep", "--s", "abc", "--lambda", "5", "--out", "x.csv"],
         ["violation-sweep", "--s", "0.2", "--lambda", "5"],
         ["no-such-command", "--out", "x.csv"],
+        ["breakdown", "--s", "0", "--lambda", "5"],
+        ["breakdown", "--s", "0.1", "--lambda", "1"],
     ], ids=["tau-large-below-min", "s-max-inf", "tau-large-nan",
-            "s-not-a-number", "missing-out", "unknown-command"])
+            "s-not-a-number", "missing-out", "unknown-command",
+            "breakdown-s-zero", "breakdown-lambda-one"])
     def test_rejected_with_one_line(self, tmp_path, capsys, monkeypatch,
                                     argv):
         monkeypatch.chdir(tmp_path)
@@ -328,6 +331,22 @@ class TestBadInput:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("invalid arguments:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["violation-sweep", "--s", "0.2", "--lambda", "1e5", "--out", "x.csv"],
+        ["snapshot", "--s", "0.1", "--lambda", "5", "--tol", "1e-20",
+         "--out", "x.csv"],
+    ], ids=["sweep-lambda-1e5", "snapshot-tol-1e-20"])
+    def test_spectrum_past_the_mode_cap_refused(self, tmp_path, capsys,
+                                                monkeypatch, argv):
+        # 110 546 876 and 450 158 159 modes: refused before allocating
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("invalid arguments: tol=")
+        assert "Lambda=" in err and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
     def test_help_exits_zero(self, capsys):

@@ -11,7 +11,6 @@ from causalbox import (
     asymptotic_series,
     asymptotic_violation,
     asymptotic_violation_closed,
-    default_convention_record,
     free_violation_probability,
     free_wavefunction,
     integrate,
@@ -19,7 +18,7 @@ from causalbox import (
     stationary_phase_wavefunction,
 )
 from causalbox import freespace
-from causalbox.freespace import _asym_integrand
+from causalbox.freespace import _asym_integrand, _upper_limit
 from causalbox.quadrature import (NumericalConvergenceError, QuadratureConfig,
                                   QuadratureResult)
 
@@ -304,7 +303,7 @@ class TestSeries:
 
 class TestAdjudication:
     def test_reduced_units_win(self):
-        record = default_convention_record()
+        record = adjudicate_convention()
         assert record.convention == "reduced"
         assert record.matched_residual <= 0.02
         # the rival reading is off by more than half at s = 1
@@ -313,11 +312,19 @@ class TestAdjudication:
         assert all(record.informative)
 
     def test_record_mappings(self):
-        record = default_convention_record()
-        assert record.closed_form_argument(2.0 * PI) == pytest.approx(1.0)
-        assert record.reduced_size(1.0) == pytest.approx(2.0 * PI)
-        assert record.canonical_violation(1.0) == pytest.approx(
-            asymptotic_violation(1.0), rel=1e-12)
+        # (upper limit of the integral, closed-form argument) per convention
+        assert _upper_limit(2.0 * PI, "reduced") == (2.0 * PI, 1.0)
+        assert _upper_limit(1.0, "nonreduced") == (2.0 * PI, 1.0)
+        for s in (0.3, 0.7654219560093865, 30.0):
+            upper, arg = _upper_limit(s, "reduced")
+            assert upper == s and arg == s / (2.0 * PI)
+            upper, arg = _upper_limit(s, "nonreduced")
+            assert upper == 2.0 * PI * s and arg == s
+        for bad in ("auto", "Reduced", ""):
+            with pytest.raises(ValueError, match="unknown convention"):
+                _upper_limit(1.0, bad)
+            with pytest.raises(ValueError, match="unknown convention"):
+                asymptotic_result(1.0, bad)
 
     def test_degenerate_samples_excluded(self):
         record = adjudicate_convention(s_samples=(1e-4, 1.0), tau_large=300.0)
@@ -350,10 +357,10 @@ class TestAdjudication:
 
 
 def test_asymptotic_result_columns_agree():
-    record = default_convention_record()
-    res = asymptotic_result(1.0, record)
-    assert res.p_quadrature == pytest.approx(asymptotic_violation(1.0),
-                                             rel=1e-12)
-    assert res.p_closed == pytest.approx(res.p_quadrature, abs=1e-8)
-    small = asymptotic_result(0.05, record)
-    assert small.p_series == pytest.approx(small.p_quadrature, rel=1e-4)
+    for convention, upper in (("reduced", 1.0), ("nonreduced", 2.0 * PI)):
+        res = asymptotic_result(1.0, convention)
+        assert res.convention == convention
+        assert res.p_quadrature == asymptotic_violation(upper)
+        assert res.p_closed == pytest.approx(res.p_quadrature, abs=1e-8)
+        small = asymptotic_result(0.05 / upper, convention)
+        assert small.p_series == pytest.approx(small.p_quadrature, rel=1e-4)

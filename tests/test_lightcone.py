@@ -10,7 +10,6 @@ from causalbox import (
     integrate,
     light_front,
     time_scales,
-    violation_curve,
     violation_probability,
     wavefunction,
 )
@@ -173,43 +172,40 @@ def test_nan_tau_is_invalid_input(spectrum_lam5, params_s02, method):
                                  method=method) == 0.0
 
 
+def _sweep(spectrum, params, grid):
+    """P and its error estimate at each time of grid, as the CLI sweeps it."""
+    out = np.array([violation_probability(spectrum, params, float(tau),
+                                          full_output=True) for tau in grid])
+    return out[:, 0], out[:, 1]
+
+
 class TestCurve:
     def test_window_endpoints(self, spectrum_lam5, params_s02):
-        curve = violation_curve(spectrum_lam5, params_s02,
-                                np.array([0.0, 4.0, 5.0]))
-        assert np.all(np.abs(curve.values) < 1e-6)
-        assert curve.tolerances["method"] == "pairwise"
+        values, errors = _sweep(spectrum_lam5, params_s02, [0.0, 4.0, 5.0])
+        assert np.all(np.abs(values) < 1e-6)
         # once the front reaches the wall the interval is empty: exact zero
-        assert curve.values[1] == 0.0 and curve.values[2] == 0.0
-        assert curve.error_estimates[0] > 0
+        assert values[1] == 0.0 and values[2] == 0.0
+        assert errors[0] > 0
 
     def test_values_stay_probabilities(self, spectrum_lam5, params_s02):
         grid = np.linspace(0.0, 4.0, 41)
-        curve = violation_curve(spectrum_lam5, params_s02, grid)
-        tol = curve.tolerances["max_error_estimate"]
-        assert np.all(curve.values >= -tol)
-        assert np.all(curve.values <= 1.0 + tol)
+        values, errors = _sweep(spectrum_lam5, params_s02, grid)
+        tol = errors.max()
+        assert np.all(values >= -tol)
+        assert np.all(values <= 1.0 + tol)
 
     def test_second_peak_for_deep_confinement(self, spectrum_lam5, params_s01):
         grid = default_sweep_grid(params_s01, tau_step=0.02)
-        curve = violation_curve(spectrum_lam5, params_s01, grid)
+        values, _ = _sweep(spectrum_lam5, params_s01, grid)
         tau_spec = time_scales(params_s01).tau_specular
-        near = np.abs(curve.tau_grid - tau_spec) < 0.06
-        assert curve.values[near].max() >= 0.999
+        near = np.abs(grid - tau_spec) < 0.06
+        assert values[near].max() >= 0.999
 
     def test_small_violation_for_large_box(self, spectrum_lam5):
         params = SystemParams(s=4.0, lambda_factor=5.0)
         grid = np.linspace(0.0, 4.0, 81)
-        curve = violation_curve(spectrum_lam5, params, grid)
-        assert curve.values.max() <= 0.03
-
-    def test_grid_validation(self, spectrum_lam5, params_s02):
-        with pytest.raises(ValueError):
-            violation_curve(spectrum_lam5, params_s02, np.array([]))
-        with pytest.raises(ValueError):
-            violation_curve(spectrum_lam5, params_s02, np.array([0.5, 0.2]))
-        with pytest.raises(ValueError):
-            violation_curve(spectrum_lam5, params_s02, np.array([-0.5, 0.2]))
+        values, _ = _sweep(spectrum_lam5, params, grid)
+        assert values.max() <= 0.03
 
 
 class TestSweepGrid:
