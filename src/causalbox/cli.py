@@ -5,7 +5,7 @@ Subcommands
     snapshot          probability-density profiles at chosen times -> CSV
     asymptotic        late-time P(s) by quadrature/closed form/series -> CSV
     breakdown         total-breakdown verdict for one (s, Lambda) -> text
-    validate          run the invariant battery and the adjudication oracle
+    validate          invariant battery and the fixed adjudication experiment
 
 Numeric CSV fields are printed with 17 significant digits (round-trip exact
 for doubles), comma separated, one header row, one trailing newline.  Each
@@ -15,9 +15,9 @@ applies, the wall-clock duration and ``stages``, the seconds per stage,
 which add up to the duration.  Box commands also record which truncation
 criteria chose the spectrum (``truncation``: "norm" for the sweep,
 "norm+uniform" for profiles), and the sweep its ``worst_error_estimate``.
-Identical invocations produce bit-identical CSV bytes, whatever --threads
-says; worker threads only partition the grid, they never change the
-arithmetic.
+Identical invocations produce bit-identical CSV bytes.  The box commands
+take --threads, whose workers only partition the grid; they never change
+the arithmetic.
 
 Exit codes: 0 success, 1 invalid arguments (usage errors included) or
 validation/numerical failure, 2 adjudication failure, 3 I/O error.  Each
@@ -43,11 +43,11 @@ from .boxmodes import (build_spectrum, density_norm, density_snapshot,
                        profile_spectrum, wavefunction)
 from .breakdown import (CONFINEMENT_THRESHOLD, GAMMA_THRESHOLD,
                         breakdown_interval, is_total_breakdown)
-from .freespace import (TAU_LARGE_MIN, AdjudicationError,
-                        adjudicate_convention, asymptotic_result,
-                        asymptotic_violation, asymptotic_violation_closed)
-from .lightcone import (ProbabilityRangeError, default_sweep_grid,
-                        violation_probability)
+from .freespace import (AdjudicationError, adjudicate_convention,
+                        asymptotic_result, asymptotic_violation,
+                        asymptotic_violation_closed)
+from .lightcone import (ProbabilityRangeError, _check_grid_points,
+                        default_sweep_grid, violation_probability)
 from .params import SystemParams, lorentz_factor, time_scales
 from .quadrature import NumericalConvergenceError, QuadratureConfig, integrate
 from .special import (EULER_GAMMA, cosine_integral, entire_cosine_integral,
@@ -150,6 +150,7 @@ def _zeta_grid(lam: float, step: float) -> np.ndarray:
     """Snapshot positions: multiples of step up to Lambda, then Lambda itself."""
     if not 0 < step < math.inf:
         raise ValueError(f"zeta step must be positive and finite, got {step}")
+    _check_grid_points(lam / step, f"zeta_step={step:g} at Lambda={lam:g}")
     n_steps = int(round(lam / step))
     zgrid = np.round(np.arange(n_steps + 1) * step, 12)
     zgrid = zgrid[zgrid <= lam]
@@ -192,30 +193,24 @@ def cmd_asymptotic(args) -> int:
         raise ValueError("require 0 < s-min < s-max")
     if args.n_points < 2:
         raise ValueError("need at least two grid points")
+    _check_grid_points(args.n_points, f"n_points={args.n_points}")
     clock = _Clock()
     if args.convention == "auto":
-        record = adjudicate_convention(tau_large=args.tau_large)
+        record = adjudicate_convention()
         _write_json(args.out + ".convention.json", asdict(record))
         clock.lap("adjudicate")
         convention = record.convention
     else:
         convention = args.convention
     sgrid = np.geomspace(args.s_min, args.s_max, args.n_points)
-
-    def one(s: float):
-        return asymptotic_result(float(s), convention)
-
-    results = _chunked_map(one, sgrid, args.threads)
+    results = [asymptotic_result(float(s), convention) for s in sgrid]
     clock.lap("evaluate")
     rows = ((_fmt(r.s), _fmt(r.p_quadrature), _fmt(r.p_closed),
              _fmt(r.p_series), convention) for r in results)
     _write_outputs(args, clock, "s,p_quadrature,p_closed,p_series,convention",
                    rows,
                    {"s_min": args.s_min, "s_max": args.s_max,
-                    "n_points": args.n_points, "threads": args.threads,
-                    # a forced convention never reads tau_large
-                    "tau_large": (args.tau_large if args.convention == "auto"
-                                  else None),
+                    "n_points": args.n_points,
                     "requested_convention": args.convention},
                    convention=convention)
     return 0
@@ -240,7 +235,7 @@ def cmd_breakdown(args) -> int:
     return 0
 
 
-def _validation_checks(tau_large: float):
+def _validation_checks():
     """Yield (name, passed, detail) for the invariant battery."""
     res = integrate(np.sin, 0.0, _PI)
     yield ("quadrature_textbook", abs(res.value - 2.0) <= 1e-12,
@@ -321,26 +316,23 @@ def _validation_checks(tau_large: float):
     yield ("breakdown_interval_roots", quad <= 1e-12,
            f"|quadratic at roots| {quad:.2e}")
 
-    record = adjudicate_convention(tau_large=tau_large)
+    record = adjudicate_convention()
     yield ("adjudication",
            record.matched_residual <= 0.02,
            f"convention={record.convention}, "
            f"worst residual {record.matched_residual:.4f} "
-           f"at tau_large={tau_large:g}")
+           f"at tau_large={record.tau_large:g}")
 
 
 def cmd_validate(args) -> int:
-    if args.tau_large < TAU_LARGE_MIN:
-        raise ValueError(f"--tau-large must be at least {TAU_LARGE_MIN:g}, "
-                         f"got {args.tau_large:g}")
     failures = 0
     try:
-        for name, ok, detail in _validation_checks(args.tau_large):
+        for name, ok, detail in _validation_checks():
             status = "PASS" if ok else "FAIL"
             print(f"[{status}] {name:28s} {detail}")
             failures += 0 if ok else 1
     except AdjudicationError as exc:
-        print(f"[FAIL] adjudication              {exc}")
+        print(f"[FAIL] {'adjudication':28s} {exc}")
         return 2
     return 0 if failures == 0 else 1
 
@@ -399,9 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     asym.add_argument("--n-points", type=int, default=60)
     asym.add_argument("--convention", choices=("auto", "reduced", "nonreduced"),
                       default="auto")
-    asym.add_argument("--tau-large", type=_finite, default=1000.0)
     asym.add_argument("--out", required=True)
-    asym.add_argument("--threads", type=int, default=1)
     asym.set_defaults(func=cmd_asymptotic)
 
     brk = sub.add_parser("breakdown", help="total-breakdown verdict")
@@ -412,7 +402,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     val = sub.add_parser("validate",
                          help="invariant battery and adjudication oracle")
-    val.add_argument("--tau-large", type=_finite, default=1000.0)
     val.set_defaults(func=cmd_validate)
     return parser
 

@@ -168,6 +168,18 @@ def violation_probability(spectrum: ModeSpectrum, params: SystemParams,
     return (value, err) if full_output else value
 
 
+# Most points any time or position grid may hold; the largest in use is the
+# snapshot profile at Lambda 100 with the default step, 50 001 points.
+_MAX_GRID_POINTS = 1 << 21
+
+
+def _check_grid_points(points: float, setting: str) -> None:
+    """Refuse a grid of more than _MAX_GRID_POINTS before allocating it."""
+    if points > _MAX_GRID_POINTS:
+        raise ValueError(f"{setting} needs {points:.3g} grid points, more "
+                         f"than the {_MAX_GRID_POINTS} allowed")
+
+
 def default_sweep_grid(params: SystemParams, tau_step: float = 0.005) -> np.ndarray:
     """Time grid for figure-quality sweeps over the violation window.
 
@@ -178,7 +190,10 @@ def default_sweep_grid(params: SystemParams, tau_step: float = 0.005) -> np.ndar
     """
     if not tau_step > 0:
         raise ValueError("tau_step must be positive")
-    t_end = params.lambda_factor - 1.0
+    lam = params.lambda_factor
+    # the base grid and the refinement hold about Lambda/tau_step points
+    _check_grid_points(lam / tau_step, f"tau_step={tau_step:g} at Lambda={lam:g}")
+    t_end = lam - 1.0
     n_base = int(round(t_end / tau_step))
     base = np.arange(n_base + 1) * tau_step
     pieces = [base, np.array([t_end])]

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -9,7 +10,7 @@ import causalbox.lightcone
 import causalbox.special
 from causalbox import (QuadratureResult, build_spectrum, initial_state,
                        mode_coefficient, profile_spectrum)
-from causalbox.cli import main
+from causalbox.cli import _build_parser, main
 
 PI = math.pi
 
@@ -224,8 +225,7 @@ class TestAsymptotic:
     def test_columns_and_convention_cache(self, tmp_path):
         out = tmp_path / "asym.csv"
         rc = main(["asymptotic", "--s-min", "0.5", "--s-max", "20",
-                   "--n-points", "7", "--tau-large", "300",
-                   "--out", str(out)])
+                   "--n-points", "7", "--out", str(out)])
         assert rc == 0
         header, rows = _rows(out)
         assert header == "s,p_quadrature,p_closed,p_series,convention"
@@ -237,9 +237,10 @@ class TestAsymptotic:
         assert float(first[1]) == pytest.approx(float(first[3]), rel=0.01)
         record = json.loads(_read(str(out) + ".convention.json"))
         assert record["convention"] == "reduced"
+        assert record["tau_large"] == 1000.0
         manifest = json.loads(_read(str(out) + ".manifest.json"))
         assert manifest["convention"] == "reduced"
-        assert manifest["parameters"]["tau_large"] == 300.0
+        assert "tau_large" not in manifest["parameters"]
         _assert_stages_tile(manifest, {"adjudicate", "evaluate", "write"})
 
     def test_forced_convention_skips_adjudication(self, tmp_path):
@@ -257,13 +258,12 @@ class TestAsymptotic:
     @pytest.mark.parametrize("convention", ["reduced", "nonreduced"])
     def test_forced_convention_records_no_tau_large(self, tmp_path,
                                                     convention):
-        # the value is never read under a forced convention
         out = tmp_path / "forced.csv"
         assert main(["asymptotic", "--s-min", "1", "--s-max", "10",
                      "--n-points", "3", "--convention", convention,
-                     "--tau-large", "50", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         manifest = json.loads(_read(str(out) + ".manifest.json"))
-        assert manifest["parameters"]["tau_large"] is None
+        assert "tau_large" not in manifest["parameters"]
         assert manifest["parameters"]["requested_convention"] == convention
 
     def test_bad_range(self, tmp_path):
@@ -271,14 +271,16 @@ class TestAsymptotic:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
 
-    def test_infinite_tau_large_rejected(self, tmp_path, capsys):
-        # used to integrate over [0, inf] and never return
+    def test_adjudication_failure_exits_two(self, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.setattr(causalbox.freespace, "free_violation_probability",
+                            lambda tau, s: 0.5)
         rc = main(["asymptotic", "--s-min", "0.3", "--s-max", "1",
-                   "--tau-large", "inf", "--out", str(tmp_path / "x.csv")])
-        assert rc == 1
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("invalid arguments:") and err.count("\n") == 1
-        assert not (tmp_path / "x.csv").exists()
+        assert err.startswith("adjudication failure:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_unconverged_quadrature_is_a_numerical_failure(
             self, tmp_path, capsys, monkeypatch):
@@ -314,16 +316,22 @@ class TestBadInput:
     @pytest.mark.parametrize("argv", [
         ["validate", "--tau-large", "50"],
         ["asymptotic", "--s-min", "0.3", "--s-max", "inf", "--out", "x.csv"],
-        ["asymptotic", "--convention", "reduced", "--tau-large", "nan",
-         "--s-min", "0.3", "--s-max", "1", "--out", "x.csv"],
         ["violation-sweep", "--s", "abc", "--lambda", "5", "--out", "x.csv"],
         ["violation-sweep", "--s", "0.2", "--lambda", "5"],
         ["no-such-command", "--out", "x.csv"],
         ["breakdown", "--s", "0", "--lambda", "5"],
         ["breakdown", "--s", "0.1", "--lambda", "1"],
-    ], ids=["tau-large-below-min", "s-max-inf", "tau-large-nan",
-            "s-not-a-number", "missing-out", "unknown-command",
-            "breakdown-s-zero", "breakdown-lambda-one"])
+        # grids past the point cap, refused before they are allocated
+        ["snapshot", "--s", "0.1", "--lambda", "5", "--zeta-step", "1e-10",
+         "--out", "x.csv"],
+        ["violation-sweep", "--s", "0.2", "--lambda", "5",
+         "--tau-step", "1e-12", "--out", "x.csv"],
+        ["asymptotic", "--s-min", "0.3", "--s-max", "30",
+         "--n-points", "10000000000", "--out", "x.csv"],
+    ], ids=["removed-option", "s-max-inf", "s-not-a-number", "missing-out",
+            "unknown-command", "breakdown-s-zero", "breakdown-lambda-one",
+            "snapshot-grid-past-cap", "sweep-grid-past-cap",
+            "asymptotic-grid-past-cap"])
     def test_rejected_with_one_line(self, tmp_path, capsys, monkeypatch,
                                     argv):
         monkeypatch.chdir(tmp_path)
@@ -356,6 +364,25 @@ class TestBadInput:
         assert "violation-sweep" in capsys.readouterr().out
 
 
+def test_option_sets_are_pinned():
+    # a new option is a visible edit here, not a silent addition
+    box = {"--s", "--lambda", "--tol", "--out", "--threads"}
+    expected = {
+        "violation-sweep": box | {"--tau-step"},
+        "snapshot": box | {"--tau-list", "--zeta-step"},
+        "asymptotic": {"--s-min", "--s-max", "--n-points", "--convention",
+                       "--out"},
+        "breakdown": {"--s", "--lambda"},
+        "validate": set(),
+    }
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    found = {name: {opt for action in parser._actions
+                    for opt in action.option_strings} - {"-h", "--help"}
+             for name, parser in sub.choices.items()}
+    assert found == expected
+
+
 class TestBreakdownCommand:
     def test_total_breakdown_verdict(self, capsys):
         assert main(["breakdown", "--s", "0.1", "--lambda", "5"]) == 0
@@ -378,7 +405,7 @@ class TestBreakdownCommand:
 
 class TestValidate:
     def test_fresh_run_passes(self, capsys):
-        rc = main(["validate", "--tau-large", "300"])
+        rc = main(["validate"])
         text = capsys.readouterr().out
         assert rc == 0, text
         assert "[FAIL]" not in text
@@ -390,7 +417,17 @@ class TestValidate:
         broken[4] = (x, si + 1e-3, cin)
         monkeypatch.setattr(causalbox.special, "REFERENCE_TABLE",
                             tuple(broken))
-        rc = main(["validate", "--tau-large", "300"])
+        rc = main(["validate"])
         text = capsys.readouterr().out
         assert rc == 1
         assert "[FAIL] special_function_table" in text
+
+    def test_adjudication_failure_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(causalbox.freespace, "free_violation_probability",
+                            lambda tau, s: 0.5)
+        assert main(["validate"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        # the FAIL line puts its detail in the same column as every other
+        assert lines[-1].startswith("[FAIL] adjudication" + " " * 17
+                                    + "neither convention")
+        assert all(line[35] == " " != line[36] for line in lines)

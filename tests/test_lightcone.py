@@ -235,3 +235,10 @@ class TestSweepGrid:
         b = default_sweep_grid(params_s01)
         assert a.shape == b.shape
         assert np.all(a == b)
+
+    def test_grid_past_the_point_cap_refused(self, params_s01):
+        # 5e12 points: refused before anything is allocated
+        with pytest.raises(ValueError, match="^tau_step=1e-12 at Lambda=5 "
+                           "needs 5e\\+12 grid points") as exc:
+            default_sweep_grid(params_s01, tau_step=1e-12)
+        assert "\n" not in str(exc.value)
