@@ -15,6 +15,7 @@ Run:  python demos/04_free_expansion_asymptotics.py
 import numpy as np
 
 from causalbox import (
+    CONVENTION,
     adjudicate_convention,
     asymptotic_result,
     asymptotic_violation,
@@ -51,13 +52,14 @@ for i, s in enumerate(record.samples):
           f"   |P_dyn - P_int(2 pi s)| = {record.residuals_nonreduced[i]:.5f}")
 print(f"verdict: '{record.convention}' units for the integral form "
       f"(worst matched residual {record.matched_residual:.2e});")
-print("the closed form and the cubic series take the size in NON-reduced")
-print("Compton wavelengths, i.e. their argument is s/(2 pi).")
+print(f"causalbox states it as CONVENTION = '{CONVENTION}'.  The closed form")
+print("and the cubic series take the size in NON-reduced Compton")
+print("wavelengths, i.e. their argument is s/(2 pi).")
 print()
 print("All three routes on one grid (canonical s in reduced units):")
 print(f"{'s':>8} {'integral':>12} {'closed form':>12} {'series':>12}")
 for s in (0.25, 0.5, 1.0, 2.0, np.pi, 2.0 * np.pi):
-    res = asymptotic_result(float(s), record.convention)
+    res = asymptotic_result(float(s))
     print(f"{s:8.4f} {res.p_quadrature:12.8f} {res.p_closed:12.8f} "
           f"{res.p_series:12.8f}")
 print("(the series is a small-argument law; it degrades first, as it must)")

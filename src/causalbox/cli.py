@@ -10,18 +10,21 @@ Subcommands
 Numeric CSV fields are printed with 17 significant digits (round-trip exact
 for doubles), comma separated, one header row, one trailing newline.  Each
 output file gets a JSON manifest sidecar recording the command, the full
-parameter set, the library version, the adjudicated convention where it
-applies, the wall-clock duration and ``stages``, the seconds per stage,
-which add up to the duration.  Box commands also record which truncation
-criteria chose the spectrum (``truncation``: "norm" for the sweep,
-"norm+uniform" for profiles), and the sweep its ``worst_error_estimate``.
+parameter set, the library version, the wall-clock duration and
+``stages``, the seconds per stage, which add up to the duration.  Box
+commands also record which truncation criteria chose the spectrum
+(``truncation``: "norm" for the sweep, "norm+uniform" for profiles), and
+the sweep its ``worst_error_estimate``.
 Identical invocations produce bit-identical CSV bytes.  The box commands
 take --threads, whose workers only partition the grid; they never change
-the arithmetic.
+the arithmetic.  ``asymptotic`` writes P(s) in the library's stated
+convention (``freespace.CONVENTION``); only ``validate`` re-runs the
+experiment behind it.
 
 Exit codes: 0 success, 1 invalid arguments (usage errors included) or
-validation/numerical failure, 2 adjudication failure, 3 I/O error.  Each
-failure prints one line to stderr.
+validation/numerical failure, 2 ``validate`` found that neither convention
+matches the dynamics, 3 I/O error.  Each failure prints one line to
+stderr; ``validate`` reports on stdout, one line per check.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
 
 import numpy as np
 
@@ -43,7 +45,7 @@ from .boxmodes import (build_spectrum, density_norm, density_snapshot,
                        profile_spectrum, wavefunction)
 from .breakdown import (CONFINEMENT_THRESHOLD, GAMMA_THRESHOLD,
                         breakdown_interval, is_total_breakdown)
-from .freespace import (AdjudicationError, adjudicate_convention,
+from .freespace import (CONVENTION, AdjudicationError, adjudicate_convention,
                         asymptotic_result, asymptotic_violation,
                         asymptotic_violation_closed)
 from .lightcone import (ProbabilityRangeError, _check_grid_points,
@@ -81,8 +83,8 @@ def _write_json(path: str, record: dict) -> None:
         fh.write("\n")
 
 
-def _write_outputs(args, clock: _Clock, header: str, rows, parameters: dict,
-                   convention: str | None = None) -> None:
+def _write_outputs(args, clock: _Clock, header: str, rows,
+                   parameters: dict) -> None:
     """Write the CSV, close the ``write`` stage, then write the manifest."""
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
@@ -91,7 +93,7 @@ def _write_outputs(args, clock: _Clock, header: str, rows, parameters: dict,
     clock.lap("write")
     _write_json(args.out + ".manifest.json", {
         "command": args.command, "parameters": parameters,
-        "version": __version__, "convention": convention,
+        "version": __version__,
         "duration_s": sum(clock.stages.values()), "stages": clock.stages,
         "outputs": [args.out]})
 
@@ -195,24 +197,14 @@ def cmd_asymptotic(args) -> int:
         raise ValueError("need at least two grid points")
     _check_grid_points(args.n_points, f"n_points={args.n_points}")
     clock = _Clock()
-    if args.convention == "auto":
-        record = adjudicate_convention()
-        _write_json(args.out + ".convention.json", asdict(record))
-        clock.lap("adjudicate")
-        convention = record.convention
-    else:
-        convention = args.convention
     sgrid = np.geomspace(args.s_min, args.s_max, args.n_points)
-    results = [asymptotic_result(float(s), convention) for s in sgrid]
+    results = [asymptotic_result(float(s)) for s in sgrid]
     clock.lap("evaluate")
     rows = ((_fmt(r.s), _fmt(r.p_quadrature), _fmt(r.p_closed),
-             _fmt(r.p_series), convention) for r in results)
+             _fmt(r.p_series), r.convention) for r in results)
     _write_outputs(args, clock, "s,p_quadrature,p_closed,p_series,convention",
-                   rows,
-                   {"s_min": args.s_min, "s_max": args.s_max,
-                    "n_points": args.n_points,
-                    "requested_convention": args.convention},
-                   convention=convention)
+                   rows, {"s_min": args.s_min, "s_max": args.s_max,
+                          "n_points": args.n_points})
     return 0
 
 
@@ -318,7 +310,8 @@ def _validation_checks():
 
     record = adjudicate_convention()
     yield ("adjudication",
-           record.matched_residual <= 0.02,
+           record.convention == CONVENTION
+           and record.matched_residual <= 0.02,
            f"convention={record.convention}, "
            f"worst residual {record.matched_residual:.4f} "
            f"at tau_large={record.tau_large:g}")
@@ -389,8 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
     asym.add_argument("--s-min", type=_finite, required=True)
     asym.add_argument("--s-max", type=_finite, required=True)
     asym.add_argument("--n-points", type=int, default=60)
-    asym.add_argument("--convention", choices=("auto", "reduced", "nonreduced"),
-                      default="auto")
     asym.add_argument("--out", required=True)
     asym.set_defaults(func=cmd_asymptotic)
 
@@ -412,9 +403,6 @@ def main(argv=None) -> int:
         if getattr(args, "threads", 1) < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
-    except AdjudicationError as exc:
-        print(f"adjudication failure: {exc}", file=sys.stderr)
-        return 2
     except (NumericalConvergenceError, ProbabilityRangeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from causalbox import (
+    CONVENTION,
     SystemParams,
     adjudicate_convention,
     asymptotic_result,
@@ -155,10 +156,10 @@ def test_criterion_10_one_percent_anchor():
 
 def test_criterion_11_long_time_consistency():
     convention = adjudicate_convention().convention
-    ok = True
-    details = []
+    ok = convention == CONVENTION
+    details = [f"verdict {convention!r}, stated {CONVENTION!r}"]
     for s in (0.5, 1.0, 2.0):
-        target = asymptotic_result(s, convention).p_quadrature
+        target = asymptotic_result(s).p_quadrature
         r_late = abs(free_violation_probability(1000.0, s) - target)
         r_early = abs(free_violation_probability(100.0, s) - target)
         ok = ok and r_late <= 0.01 and r_late < r_early

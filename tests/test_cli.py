@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import causalbox.cli
 import causalbox.freespace
 import causalbox.lightcone
 import causalbox.special
@@ -235,52 +236,34 @@ class TestAsymptotic:
         # smallest size agrees with the cubic law to better than a percent
         first = rows[0]
         assert float(first[1]) == pytest.approx(float(first[3]), rel=0.01)
-        record = json.loads(_read(str(out) + ".convention.json"))
-        assert record["convention"] == "reduced"
-        assert record["tau_large"] == 1000.0
+        # the convention is stated, not cached: CSV and manifest only
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == ["asym.csv", "asym.csv.manifest.json"]
         manifest = json.loads(_read(str(out) + ".manifest.json"))
-        assert manifest["convention"] == "reduced"
-        assert "tau_large" not in manifest["parameters"]
-        _assert_stages_tile(manifest, {"adjudicate", "evaluate", "write"})
-
-    def test_forced_convention_skips_adjudication(self, tmp_path):
-        out = tmp_path / "forced.csv"
-        rc = main(["asymptotic", "--s-min", "1", "--s-max", "10",
-                   "--n-points", "3", "--convention", "reduced",
-                   "--out", str(out)])
-        assert rc == 0
-        _, rows = _rows(out)
-        assert rows[0][4] == "reduced"
-        assert not (tmp_path / "forced.csv.convention.json").exists()
-        manifest = json.loads(_read(str(out) + ".manifest.json"))
+        assert "convention" not in manifest
+        assert manifest["parameters"] == {"s_min": 0.5, "s_max": 20.0,
+                                          "n_points": 7}
         _assert_stages_tile(manifest, {"evaluate", "write"})
-
-    @pytest.mark.parametrize("convention", ["reduced", "nonreduced"])
-    def test_forced_convention_records_no_tau_large(self, tmp_path,
-                                                    convention):
-        out = tmp_path / "forced.csv"
-        assert main(["asymptotic", "--s-min", "1", "--s-max", "10",
-                     "--n-points", "3", "--convention", convention,
-                     "--out", str(out)]) == 0
-        manifest = json.loads(_read(str(out) + ".manifest.json"))
-        assert "tau_large" not in manifest["parameters"]
-        assert manifest["parameters"]["requested_convention"] == convention
 
     def test_bad_range(self, tmp_path):
         rc = main(["asymptotic", "--s-min", "5", "--s-max", "1",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
 
-    def test_adjudication_failure_exits_two(self, tmp_path, capsys,
-                                            monkeypatch):
-        monkeypatch.setattr(causalbox.freespace, "free_violation_probability",
-                            lambda tau, s: 0.5)
-        rc = main(["asymptotic", "--s-min", "0.3", "--s-max", "1",
-                   "--out", str(tmp_path / "x.csv")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("adjudication failure:") and err.count("\n") == 1
-        assert list(tmp_path.iterdir()) == []
+    def test_never_adjudicates(self, tmp_path, monkeypatch):
+        argv = ["asymptotic", "--s-min", "0.3", "--s-max", "1",
+                "--n-points", "5"]
+        assert main(argv + ["--out", str(tmp_path / "a.csv")]) == 0
+
+        def refuse():
+            raise causalbox.freespace.AdjudicationError("must not run")
+
+        monkeypatch.setattr(causalbox.freespace, "adjudicate_convention",
+                            refuse)
+        monkeypatch.setattr(causalbox.cli, "adjudicate_convention", refuse)
+        assert main(argv + ["--out", str(tmp_path / "b.csv")]) == 0
+        assert _read(tmp_path / "a.csv") == _read(tmp_path / "b.csv")
+        assert not list(tmp_path.glob("*.convention.json"))
 
     def test_unconverged_quadrature_is_a_numerical_failure(
             self, tmp_path, capsys, monkeypatch):
@@ -304,11 +287,12 @@ class TestAsymptotic:
             causalbox.freespace, "integrate",
             lambda f, a, b, cfg: QuadratureResult(0.5, 3e-3, 0, False))
         rc = main(["asymptotic", "--s-min", "0.3", "--s-max", "1",
-                   "--convention", "reduced",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure:") and err.count("\n") == 1
+        assert err.startswith("numerical failure: asymptotic violation "
+                              "quadrature did not converge")
+        assert err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
 
 
@@ -328,10 +312,16 @@ class TestBadInput:
          "--tau-step", "1e-12", "--out", "x.csv"],
         ["asymptotic", "--s-min", "0.3", "--s-max", "30",
          "--n-points", "10000000000", "--out", "x.csv"],
+        # the closed form's sin^2 term would overflow at s = 1e300
+        ["asymptotic", "--s-min", "1e3", "--s-max", "1e300",
+         "--n-points", "2", "--out", "x.csv"],
+        ["asymptotic", "--s-min", "0.3", "--s-max", "30",
+         "--convention", "reduced", "--out", "x.csv"],
     ], ids=["removed-option", "s-max-inf", "s-not-a-number", "missing-out",
             "unknown-command", "breakdown-s-zero", "breakdown-lambda-one",
             "snapshot-grid-past-cap", "sweep-grid-past-cap",
-            "asymptotic-grid-past-cap"])
+            "asymptotic-grid-past-cap", "asymptotic-overflow",
+            "removed-convention-option"])
     def test_rejected_with_one_line(self, tmp_path, capsys, monkeypatch,
                                     argv):
         monkeypatch.chdir(tmp_path)
@@ -370,8 +360,7 @@ def test_option_sets_are_pinned():
     expected = {
         "violation-sweep": box | {"--tau-step"},
         "snapshot": box | {"--tau-list", "--zeta-step"},
-        "asymptotic": {"--s-min", "--s-max", "--n-points", "--convention",
-                       "--out"},
+        "asymptotic": {"--s-min", "--s-max", "--n-points", "--out"},
         "breakdown": {"--s", "--lambda"},
         "validate": set(),
     }
@@ -431,3 +420,17 @@ class TestValidate:
         assert lines[-1].startswith("[FAIL] adjudication" + " " * 17
                                     + "neither convention")
         assert all(line[35] == " " != line[36] for line in lines)
+
+    def test_verdict_other_than_the_stated_convention_fails(
+            self, capsys, monkeypatch):
+        # dynamics that follow the 2 pi s reading exactly: the oracle picks
+        # 'nonreduced' with residual 0, which the stated convention rejects
+        monkeypatch.setattr(
+            causalbox.freespace, "free_violation_probability",
+            lambda tau, s: causalbox.freespace.asymptotic_violation(
+                2.0 * PI * s))
+        assert main(["validate"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("[FAIL] adjudication")
+        assert "convention=nonreduced" in lines[-1]
+        assert all(line.startswith("[PASS]") for line in lines[:-1])

@@ -1,10 +1,13 @@
 import math
+import sys
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
 from causalbox import (
+    CONVENTION,
     AdjudicationError,
     adjudicate_convention,
     asymptotic_result,
@@ -18,7 +21,7 @@ from causalbox import (
     stationary_phase_wavefunction,
 )
 from causalbox import freespace
-from causalbox.freespace import _asym_integrand, _upper_limit
+from causalbox.freespace import _asym_integrand
 from causalbox.quadrature import (NumericalConvergenceError, QuadratureConfig,
                                   QuadratureResult)
 
@@ -280,6 +283,22 @@ class TestClosedForm:
             with pytest.raises(ValueError, match="positive and finite"):
                 asymptotic_violation_closed(bad)
 
+    def test_refused_past_overflow(self):
+        # the sin^2 term's factor 4 sigma (2 sigma - 1) overflows right
+        # past the cap (s = 1e155 returned inf, s = 1e200 nan with a warning)
+        top = freespace._CLOSED_ARG_MAX
+        assert math.isfinite(4.0 * top * (2.0 * top - 1.0))
+        above = math.nextafter(top, math.inf)
+        assert 4.0 * above * (2.0 * above - 1.0) == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sigma in np.geomspace(1e-300, top, 400).tolist() + [top]:
+                assert math.isfinite(asymptotic_violation_closed(sigma))
+            for sigma in (above, 1e155 / (2.0 * PI), 1e200 / (2.0 * PI),
+                          sys.float_info.max):
+                with pytest.raises(ValueError, match="argument sigma="):
+                    asymptotic_violation_closed(sigma)
+
 
 class TestSeries:
     def test_reference_values(self):
@@ -291,6 +310,17 @@ class TestSeries:
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="non-negative and finite"):
                 asymptotic_series(bad)
+
+    def test_refused_past_overflow(self):
+        # (4/3)(2 arg)^3 overflows within 1e-13 above the cap; at s = 1e104
+        # the cube alone raised OverflowError
+        top = freespace._SERIES_ARG_MAX
+        assert math.isfinite(asymptotic_series(top))
+        assert (4.0 / 3.0) * (2.0 * top * (1.0 + 1e-13)) ** 3 == math.inf
+        for arg in (math.nextafter(top, math.inf), 1e104 / (2.0 * PI),
+                    sys.float_info.max):
+            with pytest.raises(ValueError, match="argument arg="):
+                asymptotic_series(arg)
 
     def test_cubic_coefficient_fit(self):
         # least-squares c in 1 - c*arg^3 against the integral route
@@ -306,27 +336,27 @@ class TestAdjudication:
         record = adjudicate_convention()
         assert record.tau_large == 1000.0
         assert record.samples == (0.5, 1.0, 2.0)
-        assert record.convention == "reduced"
+        assert record.convention == CONVENTION == "reduced"
         assert record.matched_residual <= 0.02
         # the rival reading is off by more than half at s = 1
         idx = record.samples.index(1.0)
         assert record.residuals_nonreduced[idx] > 0.5
-        assert all(record.informative)
+        # every sample tells the two readings apart
+        for s in record.samples:
+            assert abs(asymptotic_violation(s)
+                       - asymptotic_violation(2.0 * PI * s)) >= 0.1
 
     def test_record_mappings(self):
-        # (upper limit of the integral, closed-form argument) per convention
-        assert _upper_limit(2.0 * PI, "reduced") == (2.0 * PI, 1.0)
-        assert _upper_limit(1.0, "nonreduced") == (2.0 * PI, 1.0)
+        # the integral runs to s; closed form and series take s/(2 pi)
+        res = asymptotic_result(2.0 * PI)
+        assert res.p_quadrature == asymptotic_violation(2.0 * PI)
+        assert res.p_closed == asymptotic_violation_closed(1.0)
         for s in (0.3, 0.7654219560093865, 30.0):
-            upper, arg = _upper_limit(s, "reduced")
-            assert upper == s and arg == s / (2.0 * PI)
-            upper, arg = _upper_limit(s, "nonreduced")
-            assert upper == 2.0 * PI * s and arg == s
-        for bad in ("auto", "Reduced", ""):
-            with pytest.raises(ValueError, match="unknown convention"):
-                _upper_limit(1.0, bad)
-            with pytest.raises(ValueError, match="unknown convention"):
-                asymptotic_result(1.0, bad)
+            res = asymptotic_result(s)
+            assert res.convention == CONVENTION
+            assert res.p_quadrature == asymptotic_violation(s)
+            assert res.p_closed == asymptotic_violation_closed(s / (2.0 * PI))
+            assert res.p_series == asymptotic_series(s / (2.0 * PI))
 
     def test_dynamics_matching_neither_reading_fails(self, monkeypatch):
         monkeypatch.setattr(freespace, "free_violation_probability",
@@ -336,10 +366,9 @@ class TestAdjudication:
 
 
 def test_asymptotic_result_columns_agree():
-    for convention, upper in (("reduced", 1.0), ("nonreduced", 2.0 * PI)):
-        res = asymptotic_result(1.0, convention)
-        assert res.convention == convention
-        assert res.p_quadrature == asymptotic_violation(upper)
-        assert res.p_closed == pytest.approx(res.p_quadrature, abs=1e-8)
-        small = asymptotic_result(0.05 / upper, convention)
-        assert small.p_series == pytest.approx(small.p_quadrature, rel=1e-4)
+    res = asymptotic_result(1.0)
+    assert res.convention == "reduced"
+    assert res.p_quadrature == asymptotic_violation(1.0)
+    assert res.p_closed == pytest.approx(res.p_quadrature, abs=1e-8)
+    small = asymptotic_result(0.05)
+    assert small.p_series == pytest.approx(small.p_quadrature, rel=1e-4)
