@@ -5,7 +5,7 @@ and the violation probability settles, as tau grows, to a limit P(s) that
 depends only on the confinement size.  This script shows the machinery
 end to end: the exact Fresnel-integral evaluation of the wave function
 and its late-time stationary-phase form, the approach of P(tau) to its
-asymptote, the adjudication oracle that pins down which argument
+asymptote, the adjudication experiment that pins down which argument
 convention the closed-form curve uses, and the agreement of the integral,
 tabulated-function, and cubic-series routes.
 
@@ -44,17 +44,18 @@ for s in (0.5, 1.0, 2.0):
           f"{asymptotic_violation(s):10.6f}")
 
 print()
-record = adjudicate_convention()
-print("Which argument does the tabulated-function curve take?  The oracle")
-print("compares the exact dynamics at tau = 1000 with both readings:")
-for i, s in enumerate(record.samples):
-    print(f"  s = {s}: |P_dyn - P_int(s)| = {record.residuals_reduced[i]:.5f}"
-          f"   |P_dyn - P_int(2 pi s)| = {record.residuals_nonreduced[i]:.5f}")
-print(f"verdict: '{record.convention}' units for the integral form "
-      f"(worst matched residual {record.matched_residual:.2e});")
-print(f"causalbox states it as CONVENTION = '{CONVENTION}'.  The closed form")
-print("and the cubic series take the size in NON-reduced Compton")
-print("wavelengths, i.e. their argument is s/(2 pi).")
+print("Which argument does the tabulated-function curve take?  The")
+print("experiment compares the exact dynamics at tau = 1000 with both")
+print("readings:")
+triples = adjudicate_convention()
+for s, stated, rival in triples:
+    print(f"  s = {s}: |P_dyn - P_int(s)| = {stated:.5f}"
+          f"   |P_dyn - P_int(2 pi s)| = {rival:.5f}")
+print(f"worst residual {max(r for _, r, _ in triples):.2e} for upper limit s, "
+      f"{max(r for _, _, r in triples):.2f} for 2 pi s;")
+print(f"causalbox states the reduced reading as CONVENTION = '{CONVENTION}'.")
+print("The closed form and the cubic series take the size in NON-reduced")
+print("Compton wavelengths, i.e. their argument is s/(2 pi).")
 print()
 print("All three routes on one grid (canonical s in reduced units):")
 print(f"{'s':>8} {'integral':>12} {'closed form':>12} {'series':>12}")

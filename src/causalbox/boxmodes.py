@@ -254,11 +254,16 @@ def _phases(spectrum: ModeSpectrum, s: float, tau: float) -> np.ndarray:
     matter.  The unreduced argument passes 1e10 rad at the default
     truncation, where libm takes its slow argument-reduction path; reduced,
     exp sees [0, 2 pi) only.  Roundoff is at worst that of the unreduced
-    form, about eps n^2 r cycles.
+    form, about eps n^2 r cycles.  A non-finite tau/tau_rev (tau near the
+    float maximum, or s so small that 4 Lambda^2 s underflows) is refused.
     """
-    n = np.arange(1, spectrum.max_mode + 1, dtype=float)
     lam = spectrum.lambda_factor
-    u = n * n * ((tau * _PI / (4.0 * lam * lam * s)) % 1.0)
+    r = tau * _PI / (4.0 * lam * lam * s)
+    if not math.isfinite(r):
+        raise ValueError(f"phase tau/tau_rev is not finite at tau={tau:g}, "
+                         f"s={s:g}, Lambda={lam:g}")
+    n = np.arange(1, spectrum.max_mode + 1, dtype=float)
+    u = n * n * (r % 1.0)
     u -= np.floor(u)
     return np.exp(-2j * _PI * u)
 

@@ -39,6 +39,8 @@ from __future__ import annotations
 import math
 from typing import Optional, Tuple
 
+from .params import _check_size
+
 __all__ = [
     "CONFINEMENT_THRESHOLD",
     "GAMMA_THRESHOLD",
@@ -56,10 +58,10 @@ def breakdown_interval(s: float) -> Optional[Tuple[float, float]]:
 
     None above the confinement threshold; a degenerate (4, 4) exactly at
     it.  The lower root comes from the product identity to avoid the
-    1 - sqrt(1 - small) cancellation.
+    1 - sqrt(1 - small) cancellation.  s is refused where gamma(s)
+    overflows, as in ``lorentz_factor``.
     """
-    if not s > 0:
-        raise ValueError(f"confinement size s must be positive, got {s}")
+    _check_size(s)
     disc = 1.0 - 16.0 * s / math.pi
     if disc < 0:
         return None

@@ -19,12 +19,13 @@ Identical invocations produce bit-identical CSV bytes.  The box commands
 take --threads, whose workers only partition the grid; they never change
 the arithmetic.  ``asymptotic`` writes P(s) in the library's stated
 convention (``freespace.CONVENTION``); only ``validate`` re-runs the
-experiment behind it.
+experiment behind it, and judges its residuals on the ``adjudication``
+line like any other check.
 
-Exit codes: 0 success, 1 invalid arguments (usage errors included) or
-validation/numerical failure, 2 ``validate`` found that neither convention
-matches the dynamics, 3 I/O error.  Each failure prints one line to
-stderr; ``validate`` reports on stdout, one line per check.
+Exit codes: 0 success, 1 invalid arguments (usage errors included),
+numerical failure or a failed ``validate`` check, 3 I/O error.  Each
+failure prints one line to stderr; ``validate`` reports on stdout, one
+line per check.
 """
 
 from __future__ import annotations
@@ -45,9 +46,8 @@ from .boxmodes import (build_spectrum, density_norm, density_snapshot,
                        profile_spectrum, wavefunction)
 from .breakdown import (CONFINEMENT_THRESHOLD, GAMMA_THRESHOLD,
                         breakdown_interval, is_total_breakdown)
-from .freespace import (CONVENTION, AdjudicationError, adjudicate_convention,
-                        asymptotic_result, asymptotic_violation,
-                        asymptotic_violation_closed)
+from .freespace import (CONVENTION, adjudicate_convention, asymptotic_result,
+                        asymptotic_violation, asymptotic_violation_closed)
 from .lightcone import (ProbabilityRangeError, _check_grid_points,
                         default_sweep_grid, violation_probability)
 from .params import SystemParams, lorentz_factor, time_scales
@@ -200,8 +200,8 @@ def cmd_asymptotic(args) -> int:
     sgrid = np.geomspace(args.s_min, args.s_max, args.n_points)
     results = [asymptotic_result(float(s)) for s in sgrid]
     clock.lap("evaluate")
-    rows = ((_fmt(r.s), _fmt(r.p_quadrature), _fmt(r.p_closed),
-             _fmt(r.p_series), r.convention) for r in results)
+    rows = ((_fmt(s), _fmt(r.p_quadrature), _fmt(r.p_closed),
+             _fmt(r.p_series), CONVENTION) for s, r in zip(sgrid, results))
     _write_outputs(args, clock, "s,p_quadrature,p_closed,p_series,convention",
                    rows, {"s_min": args.s_min, "s_max": args.s_max,
                           "n_points": args.n_points})
@@ -239,7 +239,7 @@ def _validation_checks():
 
     worst = max(abs(cosine_integral(x)
                     - (EULER_GAMMA + math.log(x) - entire_cosine_integral(x)))
-                for x in (1.0, 5.0, 20.0))
+                for x in (0.25, 0.5, 1.0))
     yield ("si_ci_identity", worst <= 1e-12, f"worst residual {worst:.2e}")
 
     worst = 0.0
@@ -308,25 +308,20 @@ def _validation_checks():
     yield ("breakdown_interval_roots", quad <= 1e-12,
            f"|quadratic at roots| {quad:.2e}")
 
-    record = adjudicate_convention()
-    yield ("adjudication",
-           record.convention == CONVENTION
-           and record.matched_residual <= 0.02,
-           f"convention={record.convention}, "
-           f"worst residual {record.matched_residual:.4f} "
-           f"at tau_large={record.tau_large:g}")
+    triples = adjudicate_convention()
+    stated = max(r for _, r, _ in triples)
+    rival = max(r for _, _, r in triples)
+    yield ("adjudication", stated <= 0.02 and stated <= rival,
+           f"convention={CONVENTION}: worst residual {stated:.4f}, "
+           f"rival {rival:.4f}")
 
 
 def cmd_validate(args) -> int:
     failures = 0
-    try:
-        for name, ok, detail in _validation_checks():
-            status = "PASS" if ok else "FAIL"
-            print(f"[{status}] {name:28s} {detail}")
-            failures += 0 if ok else 1
-    except AdjudicationError as exc:
-        print(f"[FAIL] {'adjudication':28s} {exc}")
-        return 2
+    for name, ok, detail in _validation_checks():
+        status = "PASS" if ok else "FAIL"
+        print(f"[{status}] {name:28s} {detail}")
+        failures += 0 if ok else 1
     return 0 if failures == 0 else 1
 
 

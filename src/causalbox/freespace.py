@@ -46,11 +46,12 @@ function antiderivative ``asymptotic_violation_closed`` takes its argument
 sigma in the non-reduced unit, so ``asymptotic_result(s)`` evaluates it
 and the cubic series at s/(2 pi).  The reduced reading is an experimental
 fact, not a choice: ``adjudicate_convention`` evolves the exact dynamics
-to tau = 1000 at s = 0.5, 1 and 2 and finds residuals 1.6e-5, 1.1e-4 and
-6.0e-4 against the reduced reading and 0.63, 0.95 and 0.75 against the
-other.  ``causalbox validate`` re-runs that experiment on its
-``adjudication`` line and fails unless the verdict is ``CONVENTION``; no
-other command runs it.
+to tau = 1000 at s = 0.5, 1 and 2 and returns the residuals against both
+readings, 1.6e-5, 1.1e-4 and 6.0e-4 for the reduced one and 0.63, 0.95
+and 0.75 for the other.  It measures and does not judge: ``causalbox
+validate`` re-runs it on its ``adjudication`` line and fails unless the
+stated reading matches within 0.02 and no worse than its rival; no other
+command runs it.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Tuple
 
 import numpy as np
 from scipy.special import erf as _cerf
@@ -70,8 +70,6 @@ from .special import entire_cosine_integral, sine_integral
 __all__ = [
     "CONVENTION",
     "AsymptoticResult",
-    "ConventionRecord",
-    "AdjudicationError",
     "momentum_amplitude",
     "free_wavefunction",
     "stationary_phase_wavefunction",
@@ -97,15 +95,6 @@ _FREE_VIOLATION_QUAD = QuadratureConfig(abs_tol=1e-7, rel_tol=0.0,
 # 4 sigma (2 sigma - 1) in the closed form's sin^2 term.
 _SERIES_ARG_MAX = 0.5 * (0.75 * sys.float_info.max) ** (1.0 / 3.0)
 _CLOSED_ARG_MAX = math.sqrt(sys.float_info.max / 8.0)
-
-
-class AdjudicationError(RuntimeError):
-    """Neither candidate convention matches the exact dynamics.
-
-    Raised by the adjudication oracle when the finite-time violation
-    probability disagrees with both asymptotic readings beyond the hard
-    threshold; indicates an implementation bug, not a physics ambiguity.
-    """
 
 
 def momentum_amplitude(kappa):
@@ -310,68 +299,30 @@ def asymptotic_series(arg: float) -> float:
 
 
 @dataclass(frozen=True)
-class ConventionRecord:
-    """Outcome of adjudicating the asymptotic-formula argument convention.
-
-    convention            ``CONVENTION`` if the integral form with upper
-                          limit s (reduced Compton units) matches the exact
-                          dynamics, 'nonreduced' if the 2 pi s reading does
-    tau_large             evolution time used by the oracle
-    samples               confinement sizes tested (reduced units)
-    residuals_reduced     |P_free - candidate| per sample, reduced reading
-    residuals_nonreduced  same for the 2 pi s reading
-    matched_residual      worst residual of the winning candidate
-    """
-
-    convention: str
-    tau_large: float
-    samples: Tuple[float, ...]
-    residuals_reduced: Tuple[float, ...]
-    residuals_nonreduced: Tuple[float, ...]
-    matched_residual: float
-
-
-@dataclass(frozen=True)
 class AsymptoticResult:
     """P(s) by quadrature, closed form and series, in ``CONVENTION``."""
 
-    s: float
     p_quadrature: float
     p_closed: float
     p_series: float
-    convention: str
 
 
-def adjudicate_convention() -> ConventionRecord:
-    """Decide the asymptotic argument convention against exact dynamics.
+def adjudicate_convention() -> list[tuple[float, float, float]]:
+    """Residuals of both asymptotic readings against the exact dynamics.
 
     One fixed experiment: evolve the semi-infinite release to tau = 1000
-    for s = 0.5, 1 and 2, integrate the weight beyond the light front, and
-    compare with both candidate upper limits, s and 2 pi s; they differ by
-    0.63-0.95 at these samples.  The winner must match within 0.05 or the
-    oracle raises AdjudicationError; a clean match is within 0.02.  The
-    verdict is ``CONVENTION``; ``causalbox validate`` checks that.
+    for s = 0.5, 1 and 2 and integrate the weight beyond the light front.
+    Returns one (s, residual_stated, residual_rival) triple per sample: the
+    distance of that weight from the ``CONVENTION`` reading (upper limit
+    s) and from its rival (upper limit 2 pi s), which differ by 0.63-0.95
+    at these samples.  ``causalbox validate`` judges them.
     """
-    res_red, res_non = [], []
+    triples = []
     for s in _ADJUDICATION_SIZES:
         p_dyn = free_violation_probability(_ADJUDICATION_TAU, s)
-        res_red.append(abs(p_dyn - asymptotic_violation(s)))
-        res_non.append(abs(p_dyn - asymptotic_violation(2.0 * _PI * s)))
-    worst_red, worst_non = max(res_red), max(res_non)
-    winner, worst = ((CONVENTION, worst_red) if worst_red <= worst_non
-                     else ("nonreduced", worst_non))
-    if worst > 0.05:
-        raise AdjudicationError(
-            f"neither convention matches the exact dynamics within 0.05 "
-            f"(best: {winner} at {worst:.4f}); implementation bug likely")
-    return ConventionRecord(
-        convention=winner,
-        tau_large=_ADJUDICATION_TAU,
-        samples=_ADJUDICATION_SIZES,
-        residuals_reduced=tuple(res_red),
-        residuals_nonreduced=tuple(res_non),
-        matched_residual=worst,
-    )
+        triples.append((s, abs(p_dyn - asymptotic_violation(s)),
+                        abs(p_dyn - asymptotic_violation(2.0 * _PI * s))))
+    return triples
 
 
 def asymptotic_result(s: float) -> AsymptoticResult:
@@ -383,9 +334,7 @@ def asymptotic_result(s: float) -> AsymptoticResult:
     """
     arg = s / (2.0 * _PI)
     return AsymptoticResult(
-        s=float(s),
         p_quadrature=asymptotic_violation(s),
         p_closed=asymptotic_violation_closed(arg),
         p_series=asymptotic_series(arg),
-        convention=CONVENTION,
     )

@@ -31,6 +31,7 @@ so small boxes mean relativistic particles; s is the only control.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -40,6 +41,9 @@ __all__ = [
     "speed_fraction",
     "time_scales",
 ]
+
+# gamma - 1 = pi^2/(2 s^2) overflows for s at or below this size.
+_S_MIN = math.pi / (math.sqrt(2.0) * math.sqrt(sys.float_info.max))
 
 
 @dataclass(frozen=True)
@@ -81,29 +85,36 @@ class TimeScales:
     tau_evacuation: float
 
 
+def _check_size(s: float) -> None:
+    """Refuse s unless it is positive and gamma(s) is a finite double."""
+    if not s > _S_MIN:
+        raise ValueError(f"confinement size s must exceed {_S_MIN:.4g}, "
+                         f"where gamma overflows, got {s}")
+
+
 def lorentz_factor(s: float) -> float:
     """Lorentz factor gamma(s) = 1 + pi^2 / (2 s^2).
 
     gamma is strictly decreasing in s and tends to 1 for large boxes; the
     total-breakdown threshold s = pi/16 maps to gamma = 129 exactly.
+    s at or below 1.66e-154, where gamma overflows, is refused.
     """
-    if not s > 0:
-        raise ValueError(f"confinement size s must be positive, got {s}")
+    _check_size(s)
     return 1.0 + math.pi**2 / (2.0 * s * s)
 
 
 def speed_fraction(s: float) -> float:
     """Classical speed v/c for the ground-state kinetic energy at size s.
 
-    Evaluates sqrt(1 - 1/gamma^2) through the exact excess gamma - 1 =
-    pi^2/(2 s^2), which stays accurate for s >> 1 where gamma is barely
-    above 1.
+    Evaluates sqrt(1 - 1/gamma^2) as sqrt((gamma - 1)/gamma (1 + 1/gamma))
+    through the exact excess gamma - 1 = pi^2/(2 s^2): accurate for s >> 1,
+    where gamma is barely above 1, and free of overflow up to the largest
+    finite gamma.  s as in ``lorentz_factor``.
     """
-    if not s > 0:
-        raise ValueError(f"confinement size s must be positive, got {s}")
+    _check_size(s)
     excess = math.pi**2 / (2.0 * s * s)  # gamma - 1, exact
     gamma = 1.0 + excess
-    return math.sqrt(excess * (gamma + 1.0)) / gamma
+    return math.sqrt(excess / gamma * (1.0 + 1.0 / gamma))
 
 
 def time_scales(params: SystemParams) -> TimeScales:

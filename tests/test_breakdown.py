@@ -115,3 +115,12 @@ class TestGaussianSpread:
                 gaussian_width(0.5, bad)
             with pytest.raises(ValueError, match="finite"):
                 gaussian_width(bad, 1.0)
+
+
+def test_tiny_size_refused_where_gamma_overflows():
+    # the window is finite as far down as gamma is; below, it was (nan, inf)
+    lo, hi = breakdown_interval(1e-150)
+    assert lo == pytest.approx(2.0, rel=1e-15) and math.isfinite(hi)
+    for s in (1e-160, 1e-310):
+        with pytest.raises(ValueError, match="gamma overflows"):
+            breakdown_interval(s)

@@ -256,7 +256,7 @@ class TestAsymptotic:
         assert main(argv + ["--out", str(tmp_path / "a.csv")]) == 0
 
         def refuse():
-            raise causalbox.freespace.AdjudicationError("must not run")
+            raise AssertionError("must not run")
 
         monkeypatch.setattr(causalbox.freespace, "adjudicate_convention",
                             refuse)
@@ -317,11 +317,23 @@ class TestBadInput:
          "--n-points", "2", "--out", "x.csv"],
         ["asymptotic", "--s-min", "0.3", "--s-max", "30",
          "--convention", "reduced", "--out", "x.csv"],
+        # phases tau/tau_rev that overflow to inf, which wrote NaN rows
+        ["snapshot", "--s", "0.1", "--lambda", "2", "--zeta-step", "0.5",
+         "--tau-list", "1e308", "--out", "x.csv"],
+        ["snapshot", "--s", "1e-311", "--lambda", "2", "--zeta-step", "0.5",
+         "--out", "x.csv"],
+        ["violation-sweep", "--s", "1e-311", "--lambda", "2",
+         "--tau-step", "0.25", "--out", "x.csv"],
+        # gamma overflows: a ZeroDivisionError traceback at 1e-200
+        ["breakdown", "--s", "1e-200", "--lambda", "5"],
+        ["breakdown", "--s", "1e-160", "--lambda", "5"],
     ], ids=["removed-option", "s-max-inf", "s-not-a-number", "missing-out",
             "unknown-command", "breakdown-s-zero", "breakdown-lambda-one",
             "snapshot-grid-past-cap", "sweep-grid-past-cap",
             "asymptotic-grid-past-cap", "asymptotic-overflow",
-            "removed-convention-option"])
+            "removed-convention-option", "snapshot-tau-phase-overflow",
+            "snapshot-s-phase-overflow", "sweep-s-phase-overflow",
+            "breakdown-s-1e-200", "breakdown-s-1e-160"])
     def test_rejected_with_one_line(self, tmp_path, capsys, monkeypatch,
                                     argv):
         monkeypatch.chdir(tmp_path)
@@ -411,20 +423,20 @@ class TestValidate:
         assert rc == 1
         assert "[FAIL] special_function_table" in text
 
-    def test_adjudication_failure_exits_two(self, capsys, monkeypatch):
+    def test_adjudication_failure_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(causalbox.freespace, "free_violation_probability",
                             lambda tau, s: 0.5)
-        assert main(["validate"]) == 2
+        assert main(["validate"]) == 1
         lines = capsys.readouterr().out.splitlines()
         # the FAIL line puts its detail in the same column as every other
         assert lines[-1].startswith("[FAIL] adjudication" + " " * 17
-                                    + "neither convention")
+                                    + "convention=reduced")
         assert all(line[35] == " " != line[36] for line in lines)
 
     def test_verdict_other_than_the_stated_convention_fails(
             self, capsys, monkeypatch):
-        # dynamics that follow the 2 pi s reading exactly: the oracle picks
-        # 'nonreduced' with residual 0, which the stated convention rejects
+        # dynamics that follow the 2 pi s reading exactly: the rival's
+        # residual is 0, below the stated reading's, which fails the line
         monkeypatch.setattr(
             causalbox.freespace, "free_violation_probability",
             lambda tau, s: causalbox.freespace.asymptotic_violation(
@@ -432,5 +444,19 @@ class TestValidate:
         assert main(["validate"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1].startswith("[FAIL] adjudication")
-        assert "convention=nonreduced" in lines[-1]
+        assert lines[-1].endswith("rival 0.0000")
         assert all(line.startswith("[PASS]") for line in lines[:-1])
+
+    def test_ci_off_below_one_fails_the_identity(self, capsys, monkeypatch):
+        # Ci off by 1e-6 below x = 0.9 only; above |x| = 1 Cin is built
+        # from the same Ci, so only samples below one can see the error
+        real = causalbox.special.sici
+
+        def shifted(x):
+            si, ci = real(x)
+            return si, ci + np.where(np.abs(x) < 0.9, 1e-6, 0.0)
+
+        monkeypatch.setattr(causalbox.special, "sici", shifted)
+        assert main(["validate"]) == 1
+        text = capsys.readouterr().out
+        assert "[FAIL] si_ci_identity" in text

@@ -8,7 +8,6 @@ import pytest
 
 from causalbox import (
     CONVENTION,
-    AdjudicationError,
     adjudicate_convention,
     asymptotic_result,
     asymptotic_series,
@@ -333,18 +332,27 @@ class TestSeries:
 
 class TestAdjudication:
     def test_reduced_units_win(self):
-        record = adjudicate_convention()
-        assert record.tau_large == 1000.0
-        assert record.samples == (0.5, 1.0, 2.0)
-        assert record.convention == CONVENTION == "reduced"
-        assert record.matched_residual <= 0.02
+        triples = adjudicate_convention()
+        assert CONVENTION == "reduced"
+        assert [s for s, _, _ in triples] == [0.5, 1.0, 2.0]
+        stated = max(r for _, r, _ in triples)
+        assert stated <= 0.02
+        assert stated <= max(r for _, _, r in triples)
         # the rival reading is off by more than half at s = 1
-        idx = record.samples.index(1.0)
-        assert record.residuals_nonreduced[idx] > 0.5
+        assert dict((s, r) for s, _, r in triples)[1.0] > 0.5
         # every sample tells the two readings apart
-        for s in record.samples:
+        for s, _, _ in triples:
             assert abs(asymptotic_violation(s)
                        - asymptotic_violation(2.0 * PI * s)) >= 0.1
+
+    def test_residuals_measure_both_readings(self, monkeypatch):
+        # dynamics pinned to a constant: each residual is its distance
+        # from the reading with upper limit s, and from 2 pi s
+        monkeypatch.setattr(freespace, "free_violation_probability",
+                            lambda tau, s: 0.5)
+        for s, stated, rival in adjudicate_convention():
+            assert stated == abs(0.5 - asymptotic_violation(s))
+            assert rival == abs(0.5 - asymptotic_violation(2.0 * PI * s))
 
     def test_record_mappings(self):
         # the integral runs to s; closed form and series take s/(2 pi)
@@ -353,21 +361,13 @@ class TestAdjudication:
         assert res.p_closed == asymptotic_violation_closed(1.0)
         for s in (0.3, 0.7654219560093865, 30.0):
             res = asymptotic_result(s)
-            assert res.convention == CONVENTION
             assert res.p_quadrature == asymptotic_violation(s)
             assert res.p_closed == asymptotic_violation_closed(s / (2.0 * PI))
             assert res.p_series == asymptotic_series(s / (2.0 * PI))
 
-    def test_dynamics_matching_neither_reading_fails(self, monkeypatch):
-        monkeypatch.setattr(freespace, "free_violation_probability",
-                            lambda tau, s: 0.5)
-        with pytest.raises(AdjudicationError, match="neither convention"):
-            adjudicate_convention()
-
 
 def test_asymptotic_result_columns_agree():
     res = asymptotic_result(1.0)
-    assert res.convention == "reduced"
     assert res.p_quadrature == asymptotic_violation(1.0)
     assert res.p_closed == pytest.approx(res.p_quadrature, abs=1e-8)
     small = asymptotic_result(0.05)

@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -85,3 +87,23 @@ def test_system_params_validation():
                    (1.0, math.nan)):
         with pytest.raises(ValueError):
             SystemParams(s=s, lambda_factor=lam)
+
+
+def test_speed_matches_high_precision_across_scales():
+    with mpmath.workdps(50):
+        for s in np.geomspace(1e-70, 1e12, 400):
+            x = mpmath.mpf(float(s))
+            gamma = 1 + mpmath.pi**2 / (2 * x * x)
+            want = mpmath.sqrt(1 - 1 / gamma**2)
+            assert abs(speed_fraction(float(s)) - want) <= 3e-16 * want
+    # gamma near the float maximum: v/c is 1, not inf or nan
+    assert speed_fraction(1e-150) == 1.0
+
+
+def test_gamma_overflow_refused():
+    top = math.pi / (math.sqrt(2.0) * math.sqrt(sys.float_info.max))
+    assert math.isfinite(lorentz_factor(math.nextafter(top, 1.0)))
+    for s in (top, 1e-160, 1e-200, 5e-324):
+        for fn in (lorentz_factor, speed_fraction):
+            with pytest.raises(ValueError, match="gamma overflows"):
+                fn(s)
