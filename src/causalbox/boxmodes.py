@@ -10,8 +10,11 @@ pair combines into a single real-coefficient term) gives
                      * exp(-i pi^2 n^2 tau / (2 Lambda^2 s))
 
     b_n = -(2 sqrt(2) Lambda / pi) * sin(n pi / Lambda) / (n^2 - Lambda^2)
+        = -(2 sqrt(2) pi / Lambda) * g(n pi / Lambda)
 
-where psi = sqrt(a) * (dimensional wave function), normalized so that
+where g(kappa) = sin(kappa)/(kappa^2 - pi^2) is the momentum amplitude of
+the released state (``freespace.momentum_amplitude``) and
+psi = sqrt(a) * (dimensional wave function), normalized so that
 |psi|^2 integrates to 1 over zeta in [0, Lambda].  The per-mode phase
 pi^2 n^2 tau / (2 Lambda^2 s) is the dimensionless form of 2 pi n^2 t / T
 with T the revival period of the wide box, so the sum is exactly periodic
@@ -21,14 +24,12 @@ psi(zeta, tau_rev/2) = -psi(Lambda - zeta, 0) for the phase convention
 chosen here (b_n real, initial profile positive on (0, 1); only moduli are
 observable).
 
-The coefficient ratio sin(n pi / Lambda)/(n^2 - Lambda^2) has a removable
-0/0 point whenever n hits Lambda (integer or otherwise).  Writing it as
-
-    -(pi / Lambda) * sinc((n - Lambda)/Lambda) / (Lambda + n),
-
-with sinc(x) = sin(pi x)/(pi x), is exact for every n >= 1 and regular
-through the resonance, reproducing the analytic limit -pi/(2 Lambda^2) at
-n = Lambda with no cancellation; no special-case branch is needed.
+The ratio sin(pi x/L)/(x^2 - L^2) has a removable 0/0 point at x = L.
+Writing it as -(pi/L) sinc((x - L)/L)/(L + x), with sinc(x) =
+sin(pi x)/(pi x), is exact for every x > -L and regular through the
+resonance, reproducing the limit -pi/(2 L^2) at x = L with no cancellation
+or special-case branch.  This one kernel, ``_sin_ratio``, gives the
+coefficient ratio (L = Lambda), g (L = pi) and the asymptotic integrand g^2.
 
 Truncation keeps modes 1..N with N the smallest mode whose analytic tail
 bound on the discarded norm (sum of |b_n|^2 weights past N, bounded by the
@@ -84,6 +85,7 @@ _PI = math.pi
 # admits the profile spectrum at Lambda = 100 (900 317 modes) and bounds a
 # pairwise P(tau) transform at 2^23 complex points (128 MB per array).
 _MAX_MODES = 1 << 21
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -124,13 +126,17 @@ class ModeSpectrum:
         return 1 << int(math.ceil(math.log2(2 * self.max_mode + 2)))
 
 
+def _sin_ratio(x, lam: float):
+    """sin(pi x/lam)/(x^2 - lam^2) for x > -lam, exact through x = lam."""
+    return -_PI * np.sinc((x - lam) / lam) / (lam * (x + lam))
+
+
 def coefficient_ratio(n, lambda_factor: float):
     """sin(n pi/Lambda)/(n^2 - Lambda^2), exact through the n = Lambda point."""
     n_arr = np.asarray(n, dtype=float)
     if np.any(n_arr < 1):
         raise ValueError("mode number must be a positive integer")
-    lam = float(lambda_factor)
-    out = -_PI * np.sinc((n_arr - lam) / lam) / (lam * (n_arr + lam))
+    out = _sin_ratio(n_arr, float(lambda_factor))
     return float(out) if np.isscalar(n) or n_arr.ndim == 0 else out
 
 
@@ -254,15 +260,19 @@ def _phases(spectrum: ModeSpectrum, s: float, tau: float) -> np.ndarray:
     matter.  The unreduced argument passes 1e10 rad at the default
     truncation, where libm takes its slow argument-reduction path; reduced,
     exp sees [0, 2 pi) only.  Roundoff is at worst that of the unreduced
-    form, about eps n^2 r cycles.  A non-finite tau/tau_rev (tau near the
-    float maximum, or s so small that 4 Lambda^2 s underflows) is refused.
+    form, about eps N^2 r cycles.  Where that exceeds one cycle the phases
+    mean nothing (tau = 1e300 at s = 0.1, Lambda = 2 reduced to tau = 0), so
+    such a time is refused, as is a non-finite r.
     """
     lam = spectrum.lambda_factor
+    n_max = spectrum.max_mode
     r = tau * _PI / (4.0 * lam * lam * s)
-    if not math.isfinite(r):
-        raise ValueError(f"phase tau/tau_rev is not finite at tau={tau:g}, "
-                         f"s={s:g}, Lambda={lam:g}")
-    n = np.arange(1, spectrum.max_mode + 1, dtype=float)
+    roundoff = _EPS * n_max * n_max * r
+    if not roundoff <= 1.0:
+        raise ValueError(f"phase roundoff eps N^2 tau/tau_rev = {roundoff:.2g} "
+                         f"cycles is past one at tau={tau:g}, s={s:g}, "
+                         f"Lambda={lam:g}")
+    n = np.arange(1, n_max + 1, dtype=float)
     u = n * n * (r % 1.0)
     u -= np.floor(u)
     return np.exp(-2j * _PI * u)

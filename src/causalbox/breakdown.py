@@ -23,7 +23,7 @@ so it is recovered from the product of roots Lambda_- Lambda_+ = pi / s.
 The answers are plain values.  ``breakdown_interval(s)`` is that window,
 or None above the threshold, so ``breakdown_interval(s) is not None`` says
 whether any expansion factor breaks down; ``is_total_breakdown(s, Lambda)``
-is the verdict for one pair.
+is the verdict for one pair, read off that window.
 
 Also here: the free Gaussian wave-packet spreading width, the standard
 cautionary example of apparent superluminal spreading.  With lengths in
@@ -73,15 +73,14 @@ def breakdown_interval(s: float) -> Optional[Tuple[float, float]]:
 def is_total_breakdown(s: float, lambda_factor: float) -> bool:
     """Whether the revival outruns light for this (s, Lambda) pair.
 
-    Non-strict inequality: equality counts as breakdown (the revival lands
-    exactly when light arrives).
+    True exactly when Lambda lies in ``breakdown_interval(s)``, endpoints
+    included (the revival lands exactly when light arrives), so the verdict
+    never contradicts the window.  s as in ``breakdown_interval``.
     """
-    if not s > 0:
-        raise ValueError(f"confinement size s must be positive, got {s}")
+    window = breakdown_interval(s)
     if not lambda_factor > 1:
         raise ValueError(f"expansion factor must exceed 1, got {lambda_factor}")
-    lam = lambda_factor
-    return (2.0 * s / math.pi) * lam * lam - lam + 2.0 <= 0.0
+    return window is not None and window[0] <= lambda_factor <= window[1]
 
 
 def gaussian_width(sigma0: float, tau: float) -> float:

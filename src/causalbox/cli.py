@@ -15,9 +15,9 @@ parameter set, the library version, the wall-clock duration and
 commands also record which truncation criteria chose the spectrum
 (``truncation``: "norm" for the sweep, "norm+uniform" for profiles), and
 the sweep its ``worst_error_estimate``.
-Identical invocations produce bit-identical CSV bytes.  The box commands
-take --threads, whose workers only partition the grid; they never change
-the arithmetic.  ``asymptotic`` writes P(s) in the library's stated
+Identical invocations produce bit-identical CSV bytes.  violation-sweep
+takes --threads, whose workers only partition the tau grid; they never
+change the arithmetic.  ``asymptotic`` writes P(s) in the library's stated
 convention (``freespace.CONVENTION``); only ``validate`` re-runs the
 experiment behind it, and judges its residuals on the ``adjudication``
 line like any other check.
@@ -51,7 +51,7 @@ from .freespace import (CONVENTION, adjudicate_convention, asymptotic_result,
 from .lightcone import (ProbabilityRangeError, _check_grid_points,
                         default_sweep_grid, violation_probability)
 from .params import SystemParams, lorentz_factor, time_scales
-from .quadrature import NumericalConvergenceError, QuadratureConfig, integrate
+from .quadrature import NumericalConvergenceError, integrate
 from .special import (EULER_GAMMA, cosine_integral, entire_cosine_integral,
                       reference_table_errors)
 
@@ -119,8 +119,7 @@ def _box_parameters(args, spectrum) -> dict:
     """
     truncation = "norm" if spectrum.uniform_tol is None else "norm+uniform"
     return {"s": args.s, "lambda": args.lambda_factor, "tol": args.tol,
-            "threads": args.threads, "truncation": truncation,
-            "spectrum_max_mode": spectrum.max_mode,
+            "truncation": truncation, "spectrum_max_mode": spectrum.max_mode,
             "spectrum_tail_bound": spectrum.tail_bound,
             "spectrum_amplitude_tail_bound": spectrum.amplitude_tail_bound}
 
@@ -142,7 +141,8 @@ def cmd_violation_sweep(args) -> int:
             for tau, (p, err) in zip(grid, results))
     _write_outputs(args, clock, "tau,p_violation,error_estimate", rows,
                    {**_box_parameters(args, spectrum),
-                    "tau_step": args.tau_step, "grid_points": int(len(grid)),
+                    "threads": args.threads, "tau_step": args.tau_step,
+                    "grid_points": int(len(grid)),
                     "fft_size": spectrum.fft_size,
                     "worst_error_estimate": max(err for _, err in results)})
     return 0
@@ -174,11 +174,7 @@ def cmd_snapshot(args) -> int:
         taus = [0.0, rev / 8, rev / 4, rev / 2, 5 * rev / 8,
                 scales.tau_evacuation]
     zgrid = _zeta_grid(params.lambda_factor, args.zeta_step)
-
-    def one(tau: float):
-        return density_snapshot(spectrum, params.s, zgrid, tau)
-
-    rhos = _chunked_map(one, taus, args.threads)
+    rhos = [density_snapshot(spectrum, params.s, zgrid, tau) for tau in taus]
     clock.lap("evaluate")
     rows = ((_fmt(tau), _fmt(z), _fmt(r))
             for tau, rho in zip(taus, rhos) for z, r in zip(zgrid, rho))
@@ -281,13 +277,7 @@ def _validation_checks():
     yield ("violation_cross_route", abs(pq - pp) <= 1e-6,
            f"|quadrature - pairwise| = {abs(pq - pp):.2e}")
 
-    big = integrate(lambda t: (np.sinc((t - _PI) / _PI) / (t + _PI)) ** 2,
-                    0.0, 2000.0,
-                    QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12,
-                                     max_subdivisions=20000,
-                                     breakpoints=tuple(
-                                         k * _PI for k in range(1, 637))))
-    total = 4.0 * _PI * big.value
+    total = 1.0 - asymptotic_violation(2000.0)
     yield ("asymptotic_normalization", abs(total - 1.0) <= 1e-6,
            f"4 pi int_0^2000 = {total!r}")
 
@@ -358,10 +348,10 @@ def _build_parser() -> argparse.ArgumentParser:
     box.add_argument("--tol", type=_finite, default=1e-10,
                      help="spectrum truncation tolerance")
     box.add_argument("--out", required=True)
-    box.add_argument("--threads", type=int, default=1)
 
     sweep = sub.add_parser("violation-sweep", parents=[box],
                            help="P(tau) over the violation window as CSV")
+    sweep.add_argument("--threads", type=int, default=1)
     sweep.add_argument("--tau-step", type=_finite, default=0.005)
     sweep.set_defaults(func=cmd_violation_sweep)
 

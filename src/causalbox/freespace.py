@@ -11,7 +11,10 @@ zeta > 0.  The evolved amplitude is the Fourier integral
 taken over the whole real line; g is odd, analytic at kappa = +/-pi
 (limits -/+ 1/(2 pi)), and encodes the momentum content of the released
 ground state (odd-extended to (-1, 1), which implements the hard wall that
-remains at zeta = 0).
+remains at zeta = 0).  The box of width Lambda samples the same function:
+its coefficients are b_n = -(2 sqrt(2) pi/Lambda) g(n pi/Lambda), and g,
+the box coefficients and the asymptotic integrand g^2 share one pole-free
+kernel, ``boxmodes._sin_ratio``.
 
 Exact evaluation.  Splitting g over its two poles and completing the
 square turns each piece into a Fresnel integral, giving a closed form in
@@ -63,7 +66,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import erf as _cerf
 
-from .boxmodes import initial_state
+from .boxmodes import _sin_ratio, initial_state
 from .quadrature import NumericalConvergenceError, QuadratureConfig, integrate
 from .special import entire_cosine_integral, sine_integral
 
@@ -100,23 +103,16 @@ _CLOSED_ARG_MAX = math.sqrt(sys.float_info.max / 8.0)
 def momentum_amplitude(kappa):
     """g(kappa) = sin(kappa)/(kappa^2 - pi^2), odd, regular at +/-pi.
 
-    The pole nearer to kappa is absorbed into an exact sinc rewrite, so no
-    0/0 or cancellation occurs anywhere on the real line; g(pi) = -1/(2 pi)
-    and g(-pi) = +1/(2 pi) come out as the analytic limits.
+    sign(kappa) times the shared sinc kernel at |kappa|, so no 0/0 occurs
+    anywhere on the real line; g(pi) = -1/(2 pi) and g(-pi) = +1/(2 pi)
+    come out as the analytic limits.  Against 40-digit arithmetic the
+    absolute error stays below 6e-17 (|g| <= 1/(2 pi)); the relative error
+    does not: the sinc argument carries the roundoff of kappa, so near a
+    zero of sin it grows like eps |kappa|/|sin kappa| (1.9e-9 on a log grid
+    to 3e5, none left at the doubles nearest k pi).
     """
     k = np.asarray(kappa, dtype=float)
-    near_pos = np.abs(k - _PI) < 1.0
-    near_neg = np.abs(k + _PI) < 1.0
-    near = near_pos | near_neg
-    # away from the poles the plain quotient is exact where sin is (its
-    # zeros at multiples of pi stay exact zeros)
-    safe_den = np.where(near, 1.0, k * k - _PI * _PI)
-    out = np.sin(k) / safe_den
-    # within one unit of a pole, divide the root out analytically:
-    # sin(k) = -sin(k -+ pi)
-    u = np.where(near_pos, k - _PI, k + _PI)
-    other = np.where(near_pos, k + _PI, k - _PI)
-    out = np.where(near, -np.sinc(u / _PI) / np.where(near, other, 1.0), out)
+    out = np.sign(k) * _sin_ratio(np.abs(k), _PI)
     return float(out) if k.ndim == 0 else out
 
 
@@ -212,14 +208,8 @@ def free_violation_probability(tau: float, s: float) -> float:
 
 
 def _asym_integrand(theta: np.ndarray) -> np.ndarray:
-    """sin^2(theta)/(theta^2 - pi^2)^2, exact through theta = pi.
-
-    sin(theta) = -sin(theta - pi) lets the squared root at pi cancel into a
-    sinc; the limit value 1/(4 pi^2) at theta = pi comes out directly.
-    Valid for theta > -pi, which covers the integration range.
-    """
-    u = theta - _PI
-    return (np.sinc(u / _PI) / (theta + _PI)) ** 2
+    """g(theta)^2 = sin^2(theta)/(theta^2 - pi^2)^2 for theta >= 0."""
+    return _sin_ratio(theta, _PI) ** 2
 
 
 def asymptotic_violation(s: float) -> float:

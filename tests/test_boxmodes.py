@@ -30,8 +30,10 @@ PI = math.pi
 class TestCoefficients:
     def test_resonant_limit(self):
         # n = Lambda is a removable 0/0 with limit -pi/(2 Lambda^2)
-        assert coefficient_ratio(5, 5.0) == pytest.approx(-PI / 50.0, rel=1e-14)
-        assert math.isfinite(coefficient_ratio(5, 5.0))
+        for lam in (1.0, 2.0, 5.0, 20.0):
+            n = int(lam)
+            assert coefficient_ratio(n, lam) == pytest.approx(
+                -PI / (2.0 * lam**2), rel=1e-14)
 
     def test_near_resonance_matches_first_order_expansion(self):
         lam = 5.0

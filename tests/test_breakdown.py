@@ -82,6 +82,18 @@ def test_breakdown_inside_interval_consistency():
         assert not is_total_breakdown(s, hi + 0.02)
 
 
+def test_verdict_agrees_with_the_printed_window():
+    # the quadratic evaluated at a float root can come out just positive:
+    # breakdown --s 0.05 --lambda 2.146685416823059 printed the window
+    # [2.14669, 29.2692] and then the verdict NO
+    for s in np.geomspace(1e-6, 0.1963, 2000):
+        lo, hi = breakdown_interval(s)
+        assert is_total_breakdown(s, lo) and is_total_breakdown(s, hi)
+        assert not is_total_breakdown(s, np.nextafter(lo, -np.inf))
+        assert not is_total_breakdown(s, np.nextafter(hi, np.inf))
+    assert is_total_breakdown(0.05, 2.146685416823059)
+
+
 class TestGaussianSpread:
     def test_initial_width(self):
         assert gaussian_width(0.3, 0.0) == 0.3

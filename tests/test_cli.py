@@ -76,6 +76,15 @@ class TestViolationSweep:
         _, rows = _rows(out)
         assert max(float(r[1]) for r in rows) <= 0.03
 
+    def test_deep_confinement_stays_inside_the_phase_bound(self, tmp_path):
+        # s = 1e-7: the last time spans 1.3e6 revivals, roundoff 8.5e-3 cycles
+        out = tmp_path / "deep.csv"
+        assert main(["violation-sweep", "--s", "1e-7", "--lambda", "5",
+                     "--tau-step", "0.25", "--out", str(out)]) == 0
+        _, rows = _rows(out)
+        assert float(rows[-1][0]) == 4.0
+        assert all(0.0 <= float(r[1]) <= 1.0 for r in rows)
+
     def test_thread_count_does_not_change_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["violation-sweep", "--s", "0.2", "--lambda", "5",
@@ -210,17 +219,6 @@ class TestSnapshot:
         manifest = json.loads(_read(str(out) + ".manifest.json"))
         assert manifest["parameters"]["profile_lattice"] is None
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
-        # off-lattice grid: every profile takes the dense sum through BLAS
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        argv = ["snapshot", "--s", "0.1", "--lambda", "5",
-                "--zeta-step", "0.31415926"]
-        assert main(argv + ["--out", str(a), "--threads", "1"]) == 0
-        assert main(argv + ["--out", str(b), "--threads", "2"]) == 0
-        manifest = json.loads(_read(str(b) + ".manifest.json"))
-        assert manifest["parameters"]["profile_lattice"] is None
-        assert _read(a) == _read(b)
-
 
 class TestAsymptotic:
     def test_columns_and_convention_cache(self, tmp_path):
@@ -317,6 +315,8 @@ class TestBadInput:
          "--n-points", "2", "--out", "x.csv"],
         ["asymptotic", "--s-min", "0.3", "--s-max", "30",
          "--convention", "reduced", "--out", "x.csv"],
+        ["snapshot", "--s", "0.1", "--lambda", "5", "--threads", "2",
+         "--out", "x.csv"],
         # phases tau/tau_rev that overflow to inf, which wrote NaN rows
         ["snapshot", "--s", "0.1", "--lambda", "2", "--zeta-step", "0.5",
          "--tau-list", "1e308", "--out", "x.csv"],
@@ -324,6 +324,10 @@ class TestBadInput:
          "--out", "x.csv"],
         ["violation-sweep", "--s", "1e-311", "--lambda", "2",
          "--tau-step", "0.25", "--out", "x.csv"],
+        # finite phases whose roundoff spans 1e293 cycles: the tau = 1e300
+        # profile came out byte-identical to the tau = 0 one
+        ["snapshot", "--s", "0.1", "--lambda", "2", "--zeta-step", "0.5",
+         "--tau-list", "1e300,0", "--out", "x.csv"],
         # gamma overflows: a ZeroDivisionError traceback at 1e-200
         ["breakdown", "--s", "1e-200", "--lambda", "5"],
         ["breakdown", "--s", "1e-160", "--lambda", "5"],
@@ -331,8 +335,10 @@ class TestBadInput:
             "unknown-command", "breakdown-s-zero", "breakdown-lambda-one",
             "snapshot-grid-past-cap", "sweep-grid-past-cap",
             "asymptotic-grid-past-cap", "asymptotic-overflow",
-            "removed-convention-option", "snapshot-tau-phase-overflow",
+            "removed-convention-option", "removed-snapshot-threads",
+            "snapshot-tau-phase-overflow",
             "snapshot-s-phase-overflow", "sweep-s-phase-overflow",
+            "snapshot-tau-phase-roundoff",
             "breakdown-s-1e-200", "breakdown-s-1e-160"])
     def test_rejected_with_one_line(self, tmp_path, capsys, monkeypatch,
                                     argv):
@@ -368,9 +374,9 @@ class TestBadInput:
 
 def test_option_sets_are_pinned():
     # a new option is a visible edit here, not a silent addition
-    box = {"--s", "--lambda", "--tol", "--out", "--threads"}
+    box = {"--s", "--lambda", "--tol", "--out"}
     expected = {
-        "violation-sweep": box | {"--tau-step"},
+        "violation-sweep": box | {"--tau-step", "--threads"},
         "snapshot": box | {"--tau-list", "--zeta-step"},
         "asymptotic": {"--s-min", "--s-max", "--n-points", "--out"},
         "breakdown": {"--s", "--lambda"},

@@ -13,6 +13,7 @@ from causalbox import (
     asymptotic_series,
     asymptotic_violation,
     asymptotic_violation_closed,
+    coefficient_ratio,
     free_violation_probability,
     free_wavefunction,
     integrate,
@@ -50,6 +51,34 @@ def propagator_oracle(zeta, tau, s):
         return complex(mpmath.sqrt(s / (2 * mpmath.pi * 1j * t)) * value)
 
 
+def _g_exact(kappa):
+    """g(kappa) = sin(kappa)/(kappa^2 - pi^2) at the double kappa, 40 digits."""
+    k = mpmath.mpf(float(kappa))
+    return mpmath.sin(k) / (k * k - mpmath.pi ** 2)
+
+
+def _ratio_exact(lam):
+    """sin(n pi/Lambda)/(n^2 - Lambda^2) at 40 digits, its limit at n = Lambda."""
+    def exact(n):
+        n, lam_mp = mpmath.mpf(float(n)), mpmath.mpf(lam)
+        if n == lam_mp:
+            return -mpmath.pi / (2 * lam_mp ** 2)
+        return mpmath.sin(mpmath.pi * n / lam_mp) / (n * n - lam_mp * lam_mp)
+    return exact
+
+
+# doubles nearest k pi, where sin vanishes
+_KAPPA_ZEROS = np.arange(1, 2000, 20) * PI
+_POLE = PI + np.array([-1e-6, 0.0, 1e-6])
+_KAPPA = np.concatenate((np.random.default_rng(13).uniform(-20.0, 20.0, 400),
+                         _POLE, -_POLE, np.geomspace(20.0, 3e5, 200),
+                         -np.geomspace(20.0, 3e5, 50), _KAPPA_ZEROS))
+_MODES = np.unique(np.concatenate((np.arange(1, 201),
+                                   np.rint(np.geomspace(200, 2e5, 200)))))
+_THETA = np.concatenate((np.linspace(0.0, 2000.0, 801), _POLE,
+                         _KAPPA_ZEROS[:30]))
+
+
 class TestMomentumAmplitude:
     def test_pole_limits(self):
         assert momentum_amplitude(PI) == pytest.approx(-1.0 / (2.0 * PI),
@@ -63,15 +92,33 @@ class TestMomentumAmplitude:
             -4.0 / (3.0 * PI**2), rel=1e-14)
 
     def test_odd(self):
-        ks = np.linspace(0.01, 25.0, 400)
-        assert np.max(np.abs(momentum_amplitude(ks)
-                             + momentum_amplitude(-ks))) < 1e-16
+        ks = np.concatenate((np.linspace(0.01, 25.0, 400),
+                             np.geomspace(25.0, 3e5, 100), _KAPPA_ZEROS))
+        assert np.array_equal(momentum_amplitude(-ks), -momentum_amplitude(ks))
 
     def test_continuity_through_pole(self):
         for eps in np.geomspace(1e-9, 1e-3, 7):
             for sign in (1.0, -1.0):
                 val = momentum_amplitude(PI + sign * eps)
                 assert abs(val + 1.0 / (2.0 * PI)) <= 0.1 * eps + 1e-15
+                val = momentum_amplitude(-PI + sign * eps)
+                assert abs(val - 1.0 / (2.0 * PI)) <= 0.1 * eps + 1e-15
+
+
+@pytest.mark.parametrize("kernel, points, exact, bound", [
+    (momentum_amplitude, _KAPPA, _g_exact, 6e-17),
+    *[(lambda n, lam=lam: coefficient_ratio(n, lam), _MODES,
+       _ratio_exact(lam), 3e-17) for lam in (2.0, 4.7, 5.0, 20.0)],
+    (_asym_integrand, _THETA, lambda t: _g_exact(t) ** 2, 2e-17),
+], ids=["momentum_amplitude", "coefficient_ratio-2", "coefficient_ratio-4.7",
+        "coefficient_ratio-5", "coefficient_ratio-20", "asym_integrand"])
+def test_shared_kernel_against_mpmath(kernel, points, exact, bound):
+    # one sinc kernel serves all three; its error is absolute, at most a few
+    # ulp of the largest value (|g| <= 1/(2 pi)), through the poles and at
+    # the zeros of sin alike
+    with mpmath.workdps(40):
+        want = np.array([float(exact(x)) for x in points])
+    assert np.max(np.abs(kernel(points) - want)) <= bound
 
 
 class TestFreeWavefunction:

@@ -151,6 +151,13 @@ def test_reduced_phases_match_unreduced_law(profile_lam5, s):
         assert diff.max() <= 64.0 * np.finfo(float).eps * max(arg.max(), 1.0)
 
 
+def test_phases_refuse_times_past_their_roundoff():
+    # eps N^2 tau/tau_rev = 2.1e3 cycles at tau = 1e12 (s = 0.1, Lambda = 3),
+    # where the phases were 9.9e-3 off 60-digit ones without a word
+    with pytest.raises(ValueError, match="phase roundoff"):
+        _phases(build_spectrum(3.0), 0.1, 1e12)
+
+
 def test_unknown_method(spectrum_lam5, params_s02):
     with pytest.raises(ValueError):
         violation_probability(spectrum_lam5, params_s02, 0.5, method="magic")
