@@ -49,13 +49,16 @@ linspace or CLI snapshot grid whose points and walls share a lattice with
 M <= 2N + 2) sin(n pi j/M) repeats in n with period 2M and is odd about
 M, so the phased coefficients fold onto M - 1 slots and one type-I sine
 transform gives the whole profile in O(N + M log M); density_norm uses the
-same transform.  Scalars and off-lattice points (quadrature nodes, grids
-on no lattice that coarse) take the dense sum.  It writes n = aB + b with
-B about sqrt(N) and splits sin(n pi zeta/Lambda) by angle addition, so a
-point costs about 2 sqrt(N) sines and cosines plus 4N multiply-adds in two
-BLAS products: 40 ms for the 12 990 quadrature nodes of a 1 191-mode
-spectrum, 27 ms per 1000 points at N = 45 016 (Lambda = 5), 0.45 s for
-2001 points at N = 900 317 (Lambda = 100), on one core of a 2-core Xeon.
+same transform.  The sine transform is one numpy FFT of length 2M of the
+odd extension of the folded coefficients, which takes the complex input
+whole; the module needs numpy alone.  Scalars and off-lattice points
+(quadrature nodes, grids on no lattice that coarse) take the dense sum.
+It writes n = aB + b with B about sqrt(N) and splits sin(n pi zeta/Lambda)
+by angle addition, so a point costs about 2 sqrt(N) sines and cosines plus
+4N multiply-adds in two BLAS products: 40 ms for the 12 990 quadrature
+nodes of a 1 191-mode spectrum, 27 ms per 1000 points at N = 45 016
+(Lambda = 5), 0.45 s for 2001 points at N = 900 317 (Lambda = 100), on one
+core of a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -64,7 +67,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dst
 
 __all__ = [
     "ModeSpectrum",
@@ -281,19 +283,20 @@ def _phases(spectrum: ModeSpectrum, s: float, tau: float) -> np.ndarray:
 def _lattice_amplitudes(c: np.ndarray, m: int) -> np.ndarray:
     """sum_n c_n sin(n pi j / m) for j = 0..m, with c_n given for n = 1..N.
 
-    sin(n pi j / m) depends on n only through r = n mod 2m: the r = 0 and
-    r = m terms vanish, and the r > m terms equal minus the 2m - r ones.
-    The coefficients therefore fold exactly onto m - 1 slots, and one
-    type-I sine transform of those gives every interior value.  The two
-    walls are exact zeros.  Cost O(N + m log m).
+    sin(n pi j / m) depends on n only through r = n mod 2m, and is odd
+    in r.  The coefficients therefore fold exactly onto their sums per
+    residue, rows_r, of which only the odd part rows_r - rows_{2m-r} counts:
+    on r = 1..m-1 it is the input of a type-I sine transform, and beyond
+    it is that input's odd extension.  One FFT of length 2m of the odd
+    part, times i/2, gives every interior value.  The two walls are exact
+    zeros.  Cost O(N + m log m).
     """
     period = 2 * m
     pad = np.zeros(-(-(len(c) + 1) // period) * period, dtype=complex)
     pad[1:len(c) + 1] = c
     rows = pad.reshape(-1, period).sum(axis=0)
-    folded = rows[1:m] - rows[:m:-1]
-    out = np.zeros(m + 1, dtype=complex)
-    out[1:m] = 0.5 * (dst(folded.real, type=1) + 1j * dst(folded.imag, type=1))
+    out = 0.5j * np.fft.fft(rows - np.roll(rows[::-1], 1))[:m + 1]
+    out[0] = out[m] = 0.0
     return out
 
 
@@ -414,8 +417,9 @@ def density_norm(spectrum: ModeSpectrum, s: float, tau: float) -> float:
     The density of an N-mode sum is a trigonometric polynomial with beat
     frequencies up to 2N, and the uniform trapezoid rule on J > N panels
     integrates every such beat exactly (the wave function vanishes at both
-    walls, so interior samples suffice).  The samples come from a type-I
-    sine transform of the phased coefficients, which equals the direct
+    walls, so interior samples suffice).  The samples come from the type-I
+    sine transform of the phased coefficients in ``_lattice_amplitudes``,
+    one FFT of length 2 J of their odd extension, which equals the direct
     pointwise sum to roundoff.  Result: the quadrature is exact up to
     roundoff, and the value differs from 1 only by the truncated tail.
     """

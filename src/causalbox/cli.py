@@ -36,7 +36,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -107,6 +106,7 @@ def _chunked_map(fn, items, threads: int):
     workers = min(threads, os.cpu_count() or 1, len(items))
     if workers <= 1 or len(items) < 4:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -208,14 +208,14 @@ def cmd_breakdown(args) -> int:
     interval = breakdown_interval(args.s)
     total = is_total_breakdown(args.s, args.lambda_factor)
     gamma = lorentz_factor(args.s)
-    print(f"confinement size        s = {args.s:g}")
-    print(f"expansion factor   Lambda = {args.lambda_factor:g}")
+    print(f"confinement size        s = {_fmt(args.s)}")
+    print(f"expansion factor   Lambda = {_fmt(args.lambda_factor)}")
     print(f"threshold         pi/16 = {CONFINEMENT_THRESHOLD:.6f}")
     print(f"Lorentz factor     gamma = {gamma:.6g}"
           f"   (threshold gamma = {GAMMA_THRESHOLD:g})")
     if interval is not None:
         lo, hi = interval
-        print(f"breakdown window  Lambda in [{lo:.6g}, {hi:.6g}]")
+        print(f"breakdown window  Lambda in [{_fmt(lo)}, {_fmt(hi)}]")
     else:
         print("breakdown window  none (s above threshold)")
     verdict = "TOTAL BREAKDOWN" if total else "NO"

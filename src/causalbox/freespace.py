@@ -64,7 +64,6 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erf as _cerf
 
 from .boxmodes import _sin_ratio, initial_state
 from .quadrature import NumericalConvergenceError, QuadratureConfig, integrate
@@ -118,6 +117,8 @@ def momentum_amplitude(kappa):
 
 def _psi_erf(z: np.ndarray, tau: float, s: float) -> np.ndarray:
     """Exact closed form; tau > 0."""
+    from scipy.special import erf
+
     alpha = tau / (2.0 * s)
     rot = np.exp(-1j * _PI / 4.0)
     inv = 1.0 / (2.0 * math.sqrt(alpha))
@@ -127,7 +128,7 @@ def _psi_erf(z: np.ndarray, tau: float, s: float) -> np.ndarray:
             b = z + e1
             p = e2 * _PI
             total += (e1 * e2 * np.exp(1j * (b * p - alpha * p * p))
-                      * _cerf(rot * (b - 2.0 * alpha * p) * inv))
+                      * erf(rot * (b - 2.0 * alpha * p) * inv))
     total[z == 0.0] = 0.0  # hard wall; the four terms cancel there exactly
     return 0.25j * math.sqrt(2.0) * total
 

@@ -14,7 +14,9 @@ singular part.
 
 Evaluation:
 
-  Si, Ci          ``scipy.special.sici`` at every argument.
+  Si, Ci          ``scipy.special.sici`` at every argument.  scipy is
+                  imported on the first call of ``sici`` below, not with
+                  this module, so the box path never loads it.
   Cin, |x| <= 1   its power series (DLMF section 6.6), eight terms in Horner
                   form; here gamma_E + ln|x| - Ci(|x|) cancels, losing every
                   digit as x -> 0.
@@ -33,7 +35,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import sici
 
 __all__ = [
     "EULER_GAMMA",
@@ -50,6 +51,13 @@ EULER_GAMMA = 0.5772156649015328606
 # |x| <= 1 the first omitted term is below 4e-17 of the sum
 _CIN_COEFFS = tuple((-1) ** (k + 1) / (2 * k * math.factorial(2 * k))
                     for k in range(8, 0, -1))
+
+
+def sici(x):
+    """(Si, Ci) from ``scipy.special.sici``, imported on the first call."""
+    from scipy.special import sici as scipy_sici
+
+    return scipy_sici(x)
 
 
 def _cin_series(x: np.ndarray) -> np.ndarray:

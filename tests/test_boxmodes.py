@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.fft import dst
 
 from causalbox import (
     ModeSpectrum,
@@ -19,8 +20,9 @@ from causalbox import (
     wavefunction,
 )
 from causalbox import boxmodes
-from causalbox.boxmodes import (_MAX_MODES, _tail_amplitude_bound,
-                                _tail_weight_bound, profile_lattice)
+from causalbox.boxmodes import (_MAX_MODES, _lattice_amplitudes,
+                                _tail_amplitude_bound, _tail_weight_bound,
+                                profile_lattice)
 from causalbox.cli import _zeta_grid
 from causalbox.freespace import _psi_erf
 
@@ -318,6 +320,18 @@ class TestLatticeProfiles:
             amp = wavefunction(spectrum, s, grid, tau)
             ref = _pointwise(spectrum, s, grid, tau)
             assert np.max(np.abs(amp - ref)) <= 1e-12, name
+
+    # 16 384 is density_norm's transform length at Lambda = 5
+    @pytest.mark.parametrize("m", [2, 3, 40, 1000, 11250, 16384, 65536])
+    def test_sine_transform_against_scipy_dst(self, m):
+        # m - 1 coefficients fold onto themselves, so the values are the
+        # type-I sine transform alone; scipy transforms Re and Im apart
+        rng = np.random.default_rng(m)
+        c = rng.standard_normal(m - 1) + 1j * rng.standard_normal(m - 1)
+        out = _lattice_amplitudes(c, m)
+        ref = 0.5 * (dst(c.real, type=1) + 1j * dst(c.imag, type=1))
+        assert out[0] == 0.0 and out[m] == 0.0
+        assert np.max(np.abs(out[1:m] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_walls_exact_zero(self, spectrum):
         lam = spectrum.lambda_factor

@@ -1,6 +1,9 @@
 import argparse
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,13 +393,34 @@ def test_option_sets_are_pinned():
     assert found == expected
 
 
+def _breakdown_numbers(text):
+    """Lambda and the window endpoints, as ``causalbox breakdown`` prints."""
+    lines = text.splitlines()
+    lam = next(ln for ln in lines if ln.startswith("expansion factor"))
+    window = next(ln for ln in lines if ln.startswith("breakdown window"))
+    lo, hi = window.split("[")[1].rstrip("]").split(",")
+    return float(lam.split("=")[1]), float(lo), float(hi)
+
+
 class TestBreakdownCommand:
     def test_total_breakdown_verdict(self, capsys):
         assert main(["breakdown", "--s", "0.1", "--lambda", "5"]) == 0
         text = capsys.readouterr().out
         assert "TOTAL BREAKDOWN" in text
-        assert "2.35225" in text and "13.3557" in text
+        # the lower root of (2 s/pi) x^2 - x + 2 = 0, correctly rounded
+        lam, lo, _ = _breakdown_numbers(text)
+        assert lam == 5.0 and lo == 2.352245456102033
+        assert "13.3557" in text
         assert "494.48" in text
+
+    def test_lambda_just_outside_reads_outside(self, capsys):
+        # the lower root at s = 0.05 is 2.146685416823059; to six digits
+        # both it and this Lambda read 2.14669
+        assert main(["breakdown", "--s", "0.05", "--lambda", "2.1466854"]) == 0
+        text = capsys.readouterr().out
+        lam, lo, _ = _breakdown_numbers(text)
+        assert lam < lo
+        assert text.splitlines()[-1] == "verdict           NO"
 
     def test_negative_verdict(self, capsys):
         assert main(["breakdown", "--s", "1", "--lambda", "5"]) == 0
@@ -466,3 +490,52 @@ class TestValidate:
         assert main(["validate"]) == 1
         text = capsys.readouterr().out
         assert "[FAIL] si_ci_identity" in text
+
+
+# Runs in a fresh isolated interpreter: after each import and each main()
+# call, records the command, its exit code and the scipy modules loaded.
+_SCIPY_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import causalbox
+report = [["import causalbox", 0, scipy_modules()]]
+from causalbox.cli import main
+report.append(["import causalbox.cli", 0, scipy_modules()])
+for argv in json.loads(sys.argv[2]):
+    report.append([argv[0], main(argv), scipy_modules()])
+print(json.dumps(report))
+"""
+
+
+def test_box_commands_never_load_scipy(tmp_path):
+    src = Path(causalbox.__file__).resolve().parents[1]
+    box = ["--s", "0.1", "--lambda", "2", "--tol", "1e-6"]
+    snap = box + ["--tau-list", "0.37"]
+    runs = [["breakdown", "--s", "0.1", "--lambda", "5"],
+            ["violation-sweep", *box, "--tau-step", "0.5",
+             "--out", str(tmp_path / "sweep.csv")],
+            ["snapshot", *snap, "--zeta-step", "0.25",
+             "--out", str(tmp_path / "lattice.csv")],
+            ["snapshot", *snap, "--zeta-step", "0.7071067811865476",
+             "--out", str(tmp_path / "dense.csv")],
+            ["asymptotic", "--s-min", "0.5", "--s-max", "2",
+             "--n-points", "3", "--out", str(tmp_path / "asym.csv")]]
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", _SCIPY_PROBE, str(src), json.dumps(runs)],
+        capture_output=True, text=True, timeout=300, check=True)
+    # breakdown prints its verdict first; the report is the last line
+    *box_steps, (_, rc, loaded) = json.loads(proc.stdout.splitlines()[-1])
+    assert [step[0] for step in box_steps] == [
+        "import causalbox", "import causalbox.cli", "breakdown",
+        "violation-sweep", "snapshot", "snapshot"]
+    assert all(step[1:] == [0, []] for step in box_steps), box_steps
+    # both profile routes ran: the folded sine transform and the dense sum
+    lattices = [json.loads(_read(str(tmp_path / name) + ".manifest.json"))
+                ["parameters"]["profile_lattice"]
+                for name in ("lattice.csv", "dense.csv")]
+    assert lattices == [8, None]
+    assert rc == 0 and "scipy.special" in loaded
