@@ -223,6 +223,16 @@ def cmd_breakdown(args) -> int:
     return 0
 
 
+def _mirrored_weight(lam: float, tau: float) -> float:
+    """Weight of the mirrored bump sqrt(2) sin(pi (Lambda - zeta)) beyond the front.
+
+    The bump fills [Lambda - 1, Lambda]; the front leaves u = Lambda - 1 - tau
+    of it, clipped to [0, 1], which holds u - sin(2 pi u)/(2 pi).
+    """
+    u = min(max(lam - 1.0 - tau, 0.0), 1.0)
+    return u - math.sin(2.0 * _PI * u) / (2.0 * _PI)
+
+
 def _validation_checks():
     """Yield (name, passed, detail) for the invariant battery."""
     res = integrate(np.sin, 0.0, _PI)
@@ -271,11 +281,21 @@ def _validation_checks():
                 abs(violation_probability(spec2, p2, 4.0)))
     yield ("violation_endpoints", worst <= 1e-6, f"worst endpoint {worst:.2e}")
 
-    small = build_spectrum(p2, tol=1e-8)
-    pq = violation_probability(small, p2, 0.37, method="quadrature")
-    pp = violation_probability(small, p2, 0.37)
-    yield ("violation_cross_route", abs(pq - pp) <= 1e-6,
-           f"|quadrature - pairwise| = {abs(pq - pp):.2e}")
+    # at tau_rev/2 the state is the mirrored bump; at tau_rev/4 it is
+    # ((1-i) bump(zeta) - (1+i) bump(Lambda-zeta))/2, and beyond the front
+    # only the mirrored half of it lies.  Complex coefficients make the
+    # quarter row sensitive to the n^2 dispersion law.
+    p3 = SystemParams(s=0.1, lambda_factor=2.0)
+    spec3 = build_spectrum(p3)
+    rev = time_scales(p3).tau_revival
+    gaps, errs = [], []
+    for tau, share in ((rev / 2, 1.0), (rev / 4, 0.5)):
+        p, err = violation_probability(spec3, p3, tau, full_output=True)
+        gaps.append(abs(p - share * _mirrored_weight(p3.lambda_factor, tau)))
+        errs.append(err)
+    yield ("specular_exact", all(g <= e for g, e in zip(gaps, errs)),
+           f"|P - exact| {gaps[0]:.1e}, {gaps[1]:.1e}; "
+           f"err {errs[0]:.1e}, {errs[1]:.1e}")
 
     total = 1.0 - asymptotic_violation(2000.0)
     yield ("asymptotic_normalization", abs(total - 1.0) <= 1e-6,

@@ -37,7 +37,9 @@ Two evaluation routes are provided:
     re-evaluates the dense mode sum at its nodes: about 40 ms for one P at
     N = 1 191 (12 990 nodes, one wave), against 0.4 ms for the pairwise
     route on the same spectrum (one core of a 2-core Xeon).  Kept as the
-    independent cross-check of the pairwise algebra.
+    independent oracle of the benchmark's sweep check and of the tests;
+    ``causalbox validate`` checks the pairwise route against exact half-
+    and quarter-revival values instead.
 
 Each P(tau) is independent of every other, so a sweep is a plain loop over
 ``violation_probability(..., full_output=True)`` on a grid such as

@@ -477,6 +477,25 @@ class TestValidate:
         assert lines[-1].endswith("rival 0.0000")
         assert all(line.startswith("[PASS]") for line in lines[:-1])
 
+    def test_linear_dispersion_fails_only_specular_exact(self, capsys,
+                                                         monkeypatch):
+        # phases exp(-2 pi i n tau/tau_rev): still unitary and periodic, and
+        # at tau_rev/2 still the exact mirror, so only the quarter revival
+        # tells the n^2 law from a rigid translation
+        def linear(spectrum, s, tau):
+            lam = spectrum.lambda_factor
+            r = tau * PI / (4.0 * lam * lam * s)
+            n = np.arange(1, spectrum.max_mode + 1, dtype=float)
+            return np.exp(-2j * PI * ((n * r) % 1.0))
+
+        monkeypatch.setattr(causalbox.boxmodes, "_phases", linear)
+        monkeypatch.setattr(causalbox.lightcone, "_phases", linear)
+        assert main(["validate"]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines()
+                  if not line.startswith("[PASS]")]
+        assert len(failed) == 1
+        assert failed[0].startswith("[FAIL] specular_exact")
+
     def test_ci_off_below_one_fails_the_identity(self, capsys, monkeypatch):
         # Ci off by 1e-6 below x = 0.9 only; above |x| = 1 Cin is built
         # from the same Ci, so only samples below one can see the error

@@ -232,6 +232,56 @@ class TestFreeViolation:
         with pytest.raises(ValueError, match="finite"):
             free_violation_probability(tau, s)
 
+    @pytest.mark.parametrize("tau,s", [(10.0, 50.0), (3.0, 1.0),
+                                       (1000.0, 0.5), (1000.0, 50.0)])
+    def test_fresnel_panels_match_the_unit_scale_rule(self, tau, s,
+                                                      monkeypatch):
+        # reference: two panels per unit length, the rule the Fresnel-scale
+        # panels replaced, at a 1e5 times tighter tolerance; (10, 50) has
+        # alpha = tau/(2 s) < 1/4, where both rules cut the same panels
+        upper = 1.0 + tau
+        cuts = np.linspace(0.0, upper, int(2.0 * upper) + 1)[1:-1]
+        ref = integrate(lambda z: np.abs(freespace._psi_erf(z, tau, s)) ** 2,
+                        0.0, upper,
+                        QuadratureConfig(abs_tol=1e-12, rel_tol=0.0,
+                                         max_subdivisions=30000,
+                                         breakpoints=tuple(cuts)))
+        assert ref.converged
+        results = []
+
+        def recording(f, a, b, cfg):
+            results.append(integrate(f, a, b, cfg))
+            return results[-1]
+
+        monkeypatch.setattr(freespace, "integrate", recording)
+        p = free_violation_probability(tau, s)
+        assert abs(p - (1.0 - ref.value)) <= results[0].error_estimate + 1e-12
+
+    def test_adjudication_cost_is_bounded(self, monkeypatch):
+        # 90 090 closed-form points with two panels per unit length
+        points = []
+        real = freespace._psi_erf
+
+        def counting(z, tau, s):
+            points.append(z.size)
+            return real(z, tau, s)
+
+        monkeypatch.setattr(freespace, "_psi_erf", counting)
+        adjudicate_convention()
+        assert sum(points) <= 3000
+
+    @pytest.mark.parametrize("tau,s", [(1e18, 0.5), (1e18, 1.0), (1e18, 2.0),
+                                       (1e20, 1.0)])
+    def test_phase_roundoff_past_one_radian_refused(self, tau, s):
+        # these used to come back silently wrong: 0.99999999999994 at
+        # (1e20, 1), against a tau -> infinity limit of 0.9601
+        with pytest.raises(ValueError, match="phase roundoff"):
+            free_violation_probability(tau, s)
+
+    def test_long_time_below_the_roundoff_bound(self):
+        assert free_violation_probability(1e6, 1.0) == pytest.approx(
+            asymptotic_violation(1.0), abs=2e-7)
+
     def test_unconverged_quadrature_raises(self, monkeypatch):
         def stalled(f, a, b, cfg):
             return QuadratureResult(value=0.5, error_estimate=3e-3,

@@ -22,6 +22,7 @@ import pytest
 
 from causalbox import (SystemParams, build_spectrum, light_front,
                        time_scales, violation_probability)
+from causalbox.cli import _mirrored_weight
 
 PI = math.pi
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(40)
@@ -83,6 +84,23 @@ class TestOracle:
             assert talbot_weight(lam, 1, 2, lam - w, lam) == pytest.approx(
                 exact, abs=1e-14)
         assert talbot_weight(lam, 1, 2, 0.0, lam - 1.0) <= 1e-30
+
+
+# (s, Lambda): the front short of the far bump's near edge (saturated,
+# u = 1: both times at Lambda 20, the quarter at Lambda 5) or inside it;
+# at Lambda 1.5 < 2 the two copies of the quarter revival overlap, but not
+# beyond the front
+@pytest.mark.parametrize("s, lam", [(0.1, 2.0), (0.2, 5.0), (0.05, 20.0),
+                                    (0.3, 1.5)])
+def test_validate_closed_forms_are_talbot_weights(s, lam):
+    # validate's specular_exact line: P = w(u) at tau_rev/2, w(u)/2 at
+    # tau_rev/4, with u = clip(Lambda - 1 - tau, 0, 1)
+    tau_rev = time_scales(SystemParams(s=s, lambda_factor=lam)).tau_revival
+    for q, share in ((2, 1.0), (4, 0.5)):
+        tau = tau_rev / q
+        exact = talbot_weight(lam, 1, q, light_front(tau, lam), lam)
+        assert share * _mirrored_weight(lam, tau) == pytest.approx(
+            exact, abs=1e-12), (q, exact)
 
 
 # s per Lambda keeps every (p/q) tau_rev inside the window [0, Lambda - 1]
